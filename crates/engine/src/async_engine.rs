@@ -2,9 +2,14 @@
 //!
 //! Each node owns a drifting clock and divides its *local* time into
 //! frames; the engine projects frame and slot boundaries onto real time,
-//! maintains a priority queue of frame-start/frame-end events, and resolves
-//! receptions with the continuous-time medium of
-//! [`mmhew_radio::continuous`].
+//! keeps each node's one pending frame-start or frame-end event in a
+//! tournament tree of minima, and resolves receptions with the
+//! continuous-time medium of [`mmhew_radio::continuous`].
+//!
+//! A node never has more than one boundary pending: frame `f` ends at the
+//! instant frame `f + 1` starts, and its end sorts first, so frame `f + 1`'s
+//! start is queued only once frame `f`'s end has been handled. Each handler
+//! overwrites its own node's slot, which costs one leaf-to-root update.
 //!
 //! Each boundary is projected once. A frame starts at the time of its
 //! `FrameStart` event, which is the previous frame's projected end (or, for
@@ -46,8 +51,6 @@ use mmhew_time::{DriftedClock, FrameSchedule, RealInterval, RealTime, SLOTS_PER_
 use mmhew_topology::{Link, Network, NodeId};
 use mmhew_util::SeedTree;
 use serde::Serialize;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Result of an asynchronous run.
 #[derive(Debug, Clone, Serialize)]
@@ -148,17 +151,94 @@ impl AsyncOutcome {
 enum EventKind {
     /// Resolve a finished frame (receptions delivered here). Sorts before
     /// `FrameStart` at the same instant.
-    FrameEnd,
+    FrameEnd = 0,
     /// Ask the protocol for its next frame action.
-    FrameStart,
+    FrameStart = 1,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy)]
 struct Event {
     time: RealTime,
     kind: EventKind,
     node: u32,
     frame: u64,
+}
+
+/// No pending event: greater than every packed key, whose bits 33–63 are
+/// always zero.
+const NO_EVENT: u128 = u128::MAX;
+
+/// Each node's one pending event, and a complete binary tree of minima
+/// over them.
+///
+/// Events are ordered by `(time, kind, node)` packed into one `u128`
+/// (`time << 64 | kind << 32 | node`), so one integer compare decides.
+/// No node holds two events with the same `(time, kind)`, so the frame
+/// never breaks a tie; it is kept beside the key.
+struct FrameQueue {
+    /// `tree[leaves + i]` is node `i`'s key; `tree[k]` for `1 ≤ k < leaves`
+    /// is the smaller of `tree[2k]` and `tree[2k + 1]`, so `tree[1]` is the
+    /// least key of all.
+    tree: Vec<u128>,
+    leaves: usize,
+    /// The frame of each node's pending event.
+    frames: Vec<u64>,
+}
+
+impl FrameQueue {
+    fn new(n: usize) -> Self {
+        let leaves = n.max(1);
+        Self {
+            tree: vec![NO_EVENT; 2 * leaves],
+            leaves,
+            frames: vec![0; n],
+        }
+    }
+
+    /// The least pending event.
+    fn peek(&self) -> Option<Event> {
+        let key = self.tree[1];
+        if key == NO_EVENT {
+            return None;
+        }
+        let node = key as u32;
+        Some(Event {
+            time: RealTime::from_nanos((key >> 64) as u64),
+            kind: if (key >> 32) & 1 == 0 {
+                EventKind::FrameEnd
+            } else {
+                EventKind::FrameStart
+            },
+            node,
+            frame: self.frames[node as usize],
+        })
+    }
+
+    /// Makes `event` its node's pending event, replacing any other.
+    fn set(&mut self, event: Event) {
+        self.frames[event.node as usize] = event.frame;
+        let key = (u128::from(event.time.as_nanos()) << 64)
+            | ((event.kind as u128) << 32)
+            | u128::from(event.node);
+        self.update(event.node, key);
+    }
+
+    /// Leaves `node` with no pending event.
+    fn clear(&mut self, node: u32) {
+        self.update(node, NO_EVENT);
+    }
+
+    fn update(&mut self, node: u32, key: u128) {
+        let mut k = self.leaves + node as usize;
+        self.tree[k] = key;
+        // Each level reloads both children. Carrying the running minimum in
+        // a register instead makes LLVM compile the `u128` minimum to a
+        // data-dependent branch, which mispredicts.
+        while k > 1 {
+            k /= 2;
+            self.tree[k] = self.tree[2 * k].min(self.tree[2 * k + 1]);
+        }
+    }
 }
 
 struct NodeState {
@@ -178,7 +258,7 @@ pub struct AsyncEngine<'n> {
     protocols: Vec<Box<dyn AsyncProtocol>>,
     nodes: Vec<NodeState>,
     starts: Vec<RealTime>,
-    queue: BinaryHeap<Reverse<Event>>,
+    queue: FrameQueue,
     /// Every live burst, one row per transmitter; a row drops its dead
     /// bursts when its node starts a transmit frame (see the module doc).
     bursts: BurstLog,
@@ -212,19 +292,19 @@ impl<'n> AsyncEngine<'n> {
         );
         let clocks = config.clocks.materialize(n, seed.branch("clocks"));
         let starts = config.starts.materialize(n, seed.branch("starts"));
-        let mut queue = BinaryHeap::new();
+        let mut queue = FrameQueue::new(n);
         let mut nodes = Vec::with_capacity(n);
         for (i, mut clock) in clocks.into_iter().enumerate() {
             let start_local = clock.local_at(starts[i]);
             let schedule = FrameSchedule::new(start_local, config.frame_len);
             let first = schedule.frame_interval(0, &mut clock);
             if config.max_frames > 0 {
-                queue.push(Reverse(Event {
+                queue.set(Event {
                     time: first.start(),
                     kind: EventKind::FrameStart,
                     node: i as u32,
                     frame: 0,
-                }));
+                });
             }
             nodes.push(NodeState {
                 clock,
@@ -293,7 +373,7 @@ impl<'n> AsyncEngine<'n> {
     /// ground truth with mutations still pending is not the end of the
     /// story.
     pub fn run(mut self) -> AsyncOutcome {
-        while let Some(Reverse(event)) = self.queue.pop() {
+        while let Some(event) = self.queue.peek() {
             match event.kind {
                 EventKind::FrameStart => self.on_frame_start(event),
                 EventKind::FrameEnd => {
@@ -310,6 +390,8 @@ impl<'n> AsyncEngine<'n> {
         self.finish()
     }
 
+    /// Starts frame `event.frame`; the node's pending event becomes that
+    /// frame's end.
     fn on_frame_start(&mut self, event: Event) {
         let at = Stamp::Real(event.time);
         self.world.apply_due_dynamics(at);
@@ -319,10 +401,11 @@ impl<'n> AsyncEngine<'n> {
         if self.protocols[i].is_terminated() {
             // The node shut itself down: schedule nothing further; its
             // radio stays off for the rest of the run.
+            self.queue.clear(event.node);
             return;
         }
         let state = &mut self.nodes[i];
-        // Frame f's start was projected when this event was pushed (frame
+        // Frame f's start was projected when this event was queued (frame
         // f−1's end, or frame 0's own start), so only its end is projected.
         let end = state
             .clock
@@ -413,31 +496,35 @@ impl<'n> AsyncEngine<'n> {
                 }
             }
         }
-        self.queue.push(Reverse(Event {
+        self.queue.set(Event {
             time: interval.end(),
             kind: EventKind::FrameEnd,
             node: event.node,
             frame: f,
-        }));
-        if f + 1 < self.config.max_frames {
-            self.queue.push(Reverse(Event {
-                time: interval.end(),
-                kind: EventKind::FrameStart,
-                node: event.node,
-                frame: f + 1,
-            }));
-        }
+        });
         self.world
             .obs
             .poll_phases(at, i..i + 1, |i| self.protocols[i].phase());
     }
 
+    /// Resolves frame `event.frame`; the node's pending event becomes the
+    /// next frame's start, at the same instant, or none once `max_frames`
+    /// frames have run.
     fn on_frame_end(&mut self, event: Event) {
         let at = Stamp::Real(event.time);
         self.world.advance_faults(at);
         let i = event.node as usize;
         let to = NodeId::new(event.node);
         self.nodes[i].frames_executed = event.frame + 1;
+        if event.frame + 1 < self.config.max_frames {
+            self.queue.set(Event {
+                kind: EventKind::FrameStart,
+                frame: event.frame + 1,
+                ..event
+            });
+        } else {
+            self.queue.clear(event.node);
+        }
         if let Some(sink) = self.world.obs.sink() {
             sink.on_event(&SimEvent::FrameEnd {
                 node: to,
@@ -554,6 +641,7 @@ mod tests {
     use mmhew_topology::NetworkBuilder;
     use mmhew_util::Xoshiro256StarStar;
     use rand::Rng;
+    use std::collections::BTreeSet;
 
     /// Transmits on even frames, listens on odd frames (or the reverse), on
     /// a fixed channel.
@@ -862,7 +950,7 @@ mod tests {
             .collect();
         let mut engine = AsyncEngine::new(&net, protocols, config, SeedTree::new(5));
         let mut longest = 0;
-        while let Some(Reverse(event)) = engine.queue.pop() {
+        while let Some(event) = engine.queue.peek() {
             match event.kind {
                 EventKind::FrameStart => engine.on_frame_start(event),
                 EventKind::FrameEnd => engine.on_frame_end(event),
@@ -919,7 +1007,7 @@ mod tests {
                     .collect();
                 let mut engine = AsyncEngine::new(&net, protocols, config, SeedTree::new(7));
                 let mut transmit_frames = 0;
-                while let Some(Reverse(event)) = engine.queue.pop() {
+                while let Some(event) = engine.queue.peek() {
                     if event.kind == EventKind::FrameEnd {
                         engine.on_frame_end(event);
                         continue;
@@ -1279,6 +1367,78 @@ mod tests {
             tc >= RealTime::from_nanos(30_000),
             "a jammed burst was delivered: {tc}"
         );
+    }
+
+    #[test]
+    fn frame_queue_takes_events_in_model_order() {
+        // Times come from a handful of values, so ties across nodes and
+        // between a `FrameEnd` and a `FrameStart` at one instant are common;
+        // `u64::MAX` checks that a real key never reads as no event.
+        const TIMES: [u64; 5] = [0, 1, 2, 1 << 40, u64::MAX];
+        /// `(time, kind, node, frame)`.
+        type Entry = (RealTime, EventKind, u32, u64);
+        /// Takes the least event from the queue and the model, and checks
+        /// that both agree on it.
+        fn take(
+            queue: &mut FrameQueue,
+            model: &mut BTreeSet<Entry>,
+            pending: &mut [Option<Entry>],
+        ) -> bool {
+            let got = queue.peek().map(|e| (e.time, e.kind, e.node, e.frame));
+            assert_eq!(got, model.first().copied());
+            if let Some(e) = got {
+                queue.clear(e.2);
+                model.remove(&e);
+                pending[e.2 as usize] = None;
+            }
+            got.is_some()
+        }
+        mmhew_util::prop::check("frame_queue_takes_events_in_model_order", 256, |rng| {
+            let n = rng.gen_range(1..41usize);
+            let mut queue = FrameQueue::new(n);
+            // Every pending event, and each node's own; one per node, so
+            // the frame never breaks a tie.
+            let mut model = BTreeSet::new();
+            let mut pending = vec![None; n];
+            for _ in 0..rng.gen_range(0..200u32) {
+                let node = rng.gen_range(0..n as u32);
+                match rng.gen_range(0..3u32) {
+                    0 => {
+                        let event = (
+                            RealTime::from_nanos(TIMES[rng.gen_range(0..TIMES.len())]),
+                            if rng.gen_bool(0.5) {
+                                EventKind::FrameEnd
+                            } else {
+                                EventKind::FrameStart
+                            },
+                            node,
+                            rng.gen_range(0..1_000u64),
+                        );
+                        queue.set(Event {
+                            time: event.0,
+                            kind: event.1,
+                            node,
+                            frame: event.3,
+                        });
+                        if let Some(old) = pending[node as usize].replace(event) {
+                            model.remove(&old);
+                        }
+                        model.insert(event);
+                    }
+                    1 => {
+                        queue.clear(node);
+                        if let Some(old) = pending[node as usize].take() {
+                            model.remove(&old);
+                        }
+                    }
+                    _ => {
+                        take(&mut queue, &mut model, &mut pending);
+                    }
+                }
+            }
+            while take(&mut queue, &mut model, &mut pending) {}
+            assert!(model.is_empty());
+        });
     }
 
     #[test]

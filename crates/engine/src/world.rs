@@ -34,6 +34,9 @@ pub(crate) struct World<'n, T> {
     /// dynamics mutation (copy-on-write keeps static runs allocation-free).
     pub(crate) network: Cow<'n, Network>,
     pub(crate) dynamics: Option<DynamicsSchedule>,
+    /// The events due at the boundary being applied, kept across
+    /// boundaries so a warm boundary allocates nothing.
+    due: Vec<NetworkEvent>,
     /// `None` when the fault plan is empty, so fault-free runs take the
     /// exact pre-fault code path (neutrality).
     pub(crate) faults: Option<ActiveFaults>,
@@ -112,6 +115,7 @@ impl<'n, T: Copy + Ord> World<'n, T> {
         Self {
             network: Cow::Borrowed(network),
             dynamics: None,
+            due: Vec::new(),
             faults: None,
             tracker: CoverageTracker::new(network),
             beacons: (0..n)
@@ -163,26 +167,26 @@ impl<'n, T: Copy + Ord> World<'n, T> {
         let Some(schedule) = self.dynamics.as_mut() else {
             return;
         };
-        let mut due = Vec::new();
+        self.due.clear();
         while let Some(timed) = schedule.next_due(ticks(at)) {
-            due.push(timed.event.clone());
+            self.due.push(timed.event.clone());
         }
-        if due.is_empty() {
+        if self.due.is_empty() {
             return;
         }
         self.network
             .to_mut()
-            .apply_all(&due)
+            .apply_all(&self.due)
             .expect("dynamics events must be valid for this network");
         if let Some(sink) = self.obs.sink() {
-            for event in &due {
+            for event in &self.due {
                 sink.on_event(&dynamics_sim_event(event, at));
             }
         }
         self.tracker.resync(&self.network);
         // Join, channel gain and channel loss may change a node's
         // availability; topology-only events leave beacons untouched.
-        for event in &due {
+        for event in &self.due {
             let node = match event {
                 NetworkEvent::NodeJoin { node, .. }
                 | NetworkEvent::ChannelGained { node, .. }

@@ -15,6 +15,7 @@
 //! So this file opts out of the libtest harness (`harness = false` in
 //! `Cargo.toml`) and runs the audit from `main`, the only thread alive.
 
+use mmhew_dynamics::{DynamicsSchedule, TimedEvent};
 use mmhew_engine::{
     CoverageTracker, EventCursor, FaultPlan, NeighborTable, SyncEngine, SyncProtocol, SyncRunConfig,
 };
@@ -312,4 +313,48 @@ fn warm_engine_slot_loop_allocates_nothing() {
     assert_eq!(churned, snapshot, "each churn batch is state-restoring");
     assert_eq!(tracker, tracker_snapshot, "resync keeps surviving stamps");
     assert!(tracker.is_complete());
+
+    // The same pair run by the engine itself: a periodic edge flap puts a
+    // dynamics boundary on every fifth slot, and a warm engine gathers each
+    // boundary's due events into a batch buffer it keeps.
+    let (a, b) = (NodeId::new(0), NodeId::new(1));
+    let flaps = (0..300u64).flat_map(|k| {
+        let (forward, backward) = if k % 2 == 0 {
+            (
+                NetworkEvent::EdgeRemove { from: a, to: b },
+                NetworkEvent::EdgeRemove { from: b, to: a },
+            )
+        } else {
+            (
+                NetworkEvent::EdgeAdd { from: a, to: b },
+                NetworkEvent::EdgeAdd { from: b, to: a },
+            )
+        };
+        [
+            TimedEvent::new(5 * k + 1, forward),
+            TimedEvent::new(5 * k + 1, backward),
+        ]
+    });
+    let config = SyncRunConfig::fixed(u64::MAX);
+    let mut engine = SyncEngine::new(&net, metronomes(&net, 4), vec![0; n], SeedTree::new(10))
+        .with_dynamics(DynamicsSchedule::new(flaps.collect()));
+    for _ in 0..500 {
+        engine.step(&config);
+    }
+    let mut expected = engine.tracker().expected();
+    let mut boundaries = 0;
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..1_000 {
+        engine.step(&config);
+        let now = engine.tracker().expected();
+        boundaries += usize::from(now != expected);
+        expected = now;
+    }
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    assert_eq!(
+        after - before,
+        0,
+        "a warm engine allocated at its dynamics boundaries"
+    );
+    assert_eq!(boundaries, 200, "every fifth slot flips the edge");
 }

@@ -51,7 +51,10 @@ fn main() {
     let markdown = args.flag("markdown");
     let csv_dir = args.raw("csv-dir").map(std::path::PathBuf::from);
     if let Some(dir) = &csv_dir {
-        std::fs::create_dir_all(dir).expect("failed to create csv dir");
+        if let Err(e) = std::fs::create_dir_all(dir) {
+            eprintln!("run_all: --csv-dir: cannot create {}: {e}", dir.display());
+            std::process::exit(2);
+        }
     }
     let start = std::time::Instant::now();
     let total = experiments.len();
@@ -66,7 +69,10 @@ fn main() {
         }
         if let Some(dir) = &csv_dir {
             let path = dir.join(format!("{}.csv", id.to_lowercase().replace('-', "_")));
-            report.write_csv(&path).expect("failed to write CSV");
+            if let Err(e) = report.write_csv(&path) {
+                eprintln!("run_all: --csv-dir: cannot write {}: {e}", path.display());
+                std::process::exit(1);
+            }
         }
         let wall = t0.elapsed().as_secs_f64();
         let reps = reps_completed() - reps0;

@@ -142,6 +142,22 @@ fn run_all_rejects_an_unknown_only_id() {
 }
 
 #[test]
+fn run_all_rejects_a_csv_dir_that_is_a_file() {
+    let file = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml");
+    let (stdout, stderr, ok) = run(
+        env!("CARGO_BIN_EXE_run_all"),
+        &["--only", "E7", "--csv-dir", file],
+    );
+    assert!(!ok, "a file is no csv dir");
+    assert!(stderr.contains(file), "error names the path: {stderr}");
+    assert!(
+        !stderr.contains("panicked"),
+        "named error, no panic: {stderr}"
+    );
+    assert!(stdout.is_empty(), "nothing runs before the error: {stdout}");
+}
+
+#[test]
 fn run_all_csv_dir_writes_every_table() {
     // Running the full quick suite here would be slow; instead verify the
     // registry's structural invariants so the check never goes stale when
