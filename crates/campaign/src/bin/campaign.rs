@@ -1,13 +1,11 @@
 //! Campaign harness: executes a sweep spec and writes the aggregated
-//! artifact, resumably — locally or through a `campaign-server`.
+//! artifact, resumably, in one process.
 //!
 //! ```text
 //! campaign --spec sweep.json [--out DIR] [--resume] [--jobs N]
 //! campaign --smoke                        # built-in 4-point CI spec
 //! campaign --spec sweep.json --point 3    # one point, line to stdout
-//! campaign submit --server URL (--spec sweep.json | --smoke) [--watch]
 //! campaign explore --manifest out/name.manifest.jsonl --out report.html
-//! campaign explore --server URL --out report.html
 //! ```
 //!
 //! Flags: `--spec <file.json>` (the sweep, see `mmhew_campaign::spec`),
@@ -18,131 +16,50 @@
 //! (stop after n new points — for testing interruption), and the
 //! standard `--jobs <n>`.
 //!
-//! The `submit` subcommand hands the spec to a running `campaign-server`
-//! coordinator (`mmhew-serve`) instead of executing locally: `--server
-//! <url>` (required), `--spec <file.json>` or `--smoke`, and `--watch`
-//! to poll `GET /status` until the worker fleet finishes.
-//!
 //! The `explore` subcommand renders a manifest into a single
 //! self-contained HTML page (inline SVG quantile charts per swept axis,
-//! point table with replay commands): `--manifest <file.jsonl>` or
-//! `--server <url>` (fetches the live manifest via `GET /manifest`),
-//! `--out <file.html>` (default next to the manifest, or
-//! `<name>.explorer.html` in the working directory for `--server`), and
+//! point table with replay commands): `--manifest <file.jsonl>`
+//! (required), `--out <file.html>` (default next to the manifest), and
 //! `--spec <file.json>` or `--smoke` to label the replay commands.
 
 use mmhew_campaign::{
-    client, render_explorer, run_campaign, run_point, CampaignOptions, ExplorerOptions, SweepSpec,
+    render_explorer, run_campaign, run_point, CampaignOptions, ExplorerOptions, SweepSpec,
 };
 use mmhew_harness::cli::Args;
 use mmhew_harness::set_jobs;
-use mmhew_obs::value::{parse, Value};
 use std::path::Path;
 
 fn usage() -> ! {
     eprintln!(
         "usage: campaign (--spec FILE.json | --smoke) [--out DIR] [--resume] \
          [--point ID] [--max-points N] [--jobs N]\n\
-         \x20      campaign submit --server URL (--spec FILE.json | --smoke) [--watch]\n\
-         \x20      campaign explore (--manifest FILE.jsonl | --server URL) \
-         [--out FILE.html] (--spec FILE.json | --smoke)"
+         \x20      campaign explore --manifest FILE.jsonl [--out FILE.html] \
+         (--spec FILE.json | --smoke)"
     );
     std::process::exit(2);
 }
 
-/// Loads the spec named by `--spec` / `--smoke` (shared by the root
-/// command and `submit`).
-fn spec_from_args(args: &Args, context: &str) -> SweepSpec {
+/// Loads the spec named by `--spec` / `--smoke`.
+fn spec_from_args(args: &Args) -> SweepSpec {
     if args.flag("smoke") {
         return SweepSpec::smoke();
     }
     let Some(path) = args.raw("spec") else {
-        eprintln!("{context}: --spec FILE.json (or --smoke) is required");
+        eprintln!("campaign: --spec FILE.json (or --smoke) is required");
         usage();
     };
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) => {
-            eprintln!("{context}: cannot read {path}: {e}");
+            eprintln!("campaign: cannot read {path}: {e}");
             std::process::exit(1);
         }
     };
     match SweepSpec::from_json(&text) {
         Ok(spec) => spec,
         Err(e) => {
-            eprintln!("{context}: {path}: {e}");
+            eprintln!("campaign: {path}: {e}");
             std::process::exit(1);
-        }
-    }
-}
-
-/// `campaign submit`: hand the spec to a coordinator; optionally watch.
-fn submit(rest: Vec<String>) {
-    let args = match Args::parse_from(rest).and_then(|a| {
-        a.expect_only(&["server", "spec"], &["smoke", "watch"])?;
-        Ok(a)
-    }) {
-        Ok(args) => args,
-        Err(e) => {
-            eprintln!("campaign submit: {e}");
-            usage();
-        }
-    };
-    let Some(server) = args.raw("server") else {
-        eprintln!("campaign submit: --server URL is required");
-        usage();
-    };
-    let spec = spec_from_args(&args, "campaign submit");
-    let body = format!(
-        "{{\"schema_version\":{},\"spec\":{}}}",
-        client::WIRE_SCHEMA_VERSION,
-        spec.to_json()
-    );
-    match client::post(server, "/spec", &body) {
-        Ok(resp) if resp.status == 200 => {
-            println!("campaign submit: {:?} accepted by {server}", spec.name);
-        }
-        Ok(resp) => {
-            let detail = resp
-                .json()
-                .ok()
-                .and_then(|v| v.get("error").and_then(Value::as_str).map(String::from))
-                .unwrap_or(resp.body);
-            eprintln!(
-                "campaign submit: {server} refused ({}): {detail}",
-                resp.status
-            );
-            std::process::exit(1);
-        }
-        Err(e) => {
-            eprintln!("campaign submit: cannot reach {server}: {e}");
-            std::process::exit(1);
-        }
-    }
-    if !args.flag("watch") {
-        return;
-    }
-    loop {
-        std::thread::sleep(std::time::Duration::from_millis(1000));
-        let status = match client::get(server, "/status").and_then(|r| {
-            r.json()
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-        }) {
-            Ok(v) => v,
-            Err(_) => {
-                // Coordinators exit shortly after completion; treat a
-                // vanished server as the campaign having finished.
-                println!("campaign submit: coordinator gone; campaign finished");
-                return;
-            }
-        };
-        let done = status.get("done").and_then(Value::as_u64).unwrap_or(0);
-        let total = status.get("total").and_then(Value::as_u64).unwrap_or(0);
-        let leased = status.get("leased").and_then(Value::as_u64).unwrap_or(0);
-        println!("campaign submit: {done}/{total} done, {leased} leased");
-        if status.get("complete").and_then(Value::as_bool) == Some(true) {
-            println!("campaign submit: campaign complete");
-            return;
         }
     }
 }
@@ -150,7 +67,7 @@ fn submit(rest: Vec<String>) {
 /// `campaign explore`: manifest JSONL → static HTML report.
 fn explore(rest: Vec<String>) {
     let args = match Args::parse_from(rest).and_then(|a| {
-        a.expect_only(&["manifest", "out", "spec", "server"], &["smoke"])?;
+        a.expect_only(&["manifest", "out", "spec"], &["smoke"])?;
         Ok(a)
     }) {
         Ok(args) => args,
@@ -159,64 +76,28 @@ fn explore(rest: Vec<String>) {
             usage();
         }
     };
-    let (manifest, source) = if let Some(server) = args.raw("server") {
-        match client::get(server, "/manifest") {
-            Ok(resp) if resp.status == 200 => (resp.body, server.to_string()),
-            Ok(resp) => {
-                eprintln!(
-                    "campaign explore: {server} returned {}: {}",
-                    resp.status, resp.body
-                );
-                std::process::exit(1);
-            }
-            Err(e) => {
-                eprintln!("campaign explore: cannot reach {server}: {e}");
-                std::process::exit(1);
-            }
-        }
-    } else if let Some(manifest_path) = args.raw("manifest") {
-        match std::fs::read_to_string(manifest_path) {
-            Ok(text) => (text, manifest_path.to_string()),
-            Err(e) => {
-                eprintln!("campaign explore: cannot read {manifest_path}: {e}");
-                std::process::exit(1);
-            }
-        }
-    } else {
-        eprintln!("campaign explore: --manifest FILE.jsonl or --server URL is required");
+    let Some(source) = args.raw("manifest") else {
+        eprintln!("campaign explore: --manifest FILE.jsonl is required");
         usage();
     };
-    // "out/name.manifest.jsonl" → title "name"; a server manifest carries
-    // the name in its spec-echo header.
-    let stem = if args.raw("server").is_some() {
-        manifest
-            .lines()
-            .next()
-            .and_then(|l| parse(l).ok())
-            .and_then(|v| {
-                v.get("spec")
-                    .and_then(|s| s.get("name"))
-                    .and_then(Value::as_str)
-                    .map(String::from)
-            })
-            .unwrap_or_else(|| "campaign".to_string())
-    } else {
-        Path::new(&source)
-            .file_name()
-            .and_then(|s| s.to_str())
-            .map(|s| s.trim_end_matches(".jsonl").trim_end_matches(".manifest"))
-            .unwrap_or("campaign")
-            .to_string()
-    };
-    let out = args.raw("out").map(String::from).unwrap_or_else(|| {
-        if args.raw("server").is_some() {
-            format!("{stem}.explorer.html")
-        } else {
-            Path::new(&source)
-                .with_file_name(format!("{stem}.explorer.html"))
-                .display()
-                .to_string()
+    let manifest = match std::fs::read_to_string(source) {
+        Ok(text) => text,
+        Err(e) => {
+            eprintln!("campaign explore: cannot read {source}: {e}");
+            std::process::exit(1);
         }
+    };
+    // "out/name.manifest.jsonl" → title "name".
+    let stem = Path::new(source)
+        .file_name()
+        .and_then(|s| s.to_str())
+        .map(|s| s.trim_end_matches(".jsonl").trim_end_matches(".manifest"))
+        .unwrap_or("campaign");
+    let out = args.raw("out").map(String::from).unwrap_or_else(|| {
+        Path::new(source)
+            .with_file_name(format!("{stem}.explorer.html"))
+            .display()
+            .to_string()
     });
     let replay = if args.flag("smoke") {
         "campaign --smoke".to_string()
@@ -225,7 +106,7 @@ fn explore(rest: Vec<String>) {
     } else {
         "campaign --spec <spec.json>".to_string()
     };
-    match render_explorer(&manifest, &ExplorerOptions::new(&stem, replay)) {
+    match render_explorer(&manifest, &ExplorerOptions::new(stem, replay)) {
         Ok(html) => {
             if let Err(e) = std::fs::write(&out, &html) {
                 eprintln!("campaign explore: cannot write {out}: {e}");
@@ -242,16 +123,9 @@ fn explore(rest: Vec<String>) {
 
 fn main() {
     let mut argv: Vec<String> = std::env::args().collect();
-    match argv.get(1).map(String::as_str) {
-        Some("explore") => {
-            explore(argv.split_off(2));
-            return;
-        }
-        Some("submit") => {
-            submit(argv.split_off(2));
-            return;
-        }
-        _ => {}
+    if argv.get(1).map(String::as_str) == Some("explore") {
+        explore(argv.split_off(2));
+        return;
     }
     let args = match Args::parse().and_then(|a| {
         a.expect_only(
@@ -275,7 +149,7 @@ fn main() {
         }
     }
 
-    let spec = spec_from_args(&args, "campaign");
+    let spec = spec_from_args(&args);
 
     if let Some(id) = args.raw("point") {
         let Ok(id) = id.parse::<u64>() else {

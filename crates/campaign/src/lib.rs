@@ -27,24 +27,17 @@
 //! in-flight) manifest can be rendered into a self-contained static HTML
 //! report — quantile charts per swept axis plus a point table with
 //! replay commands — via `campaign explore --manifest FILE.jsonl`
-//! ([`render_explorer`]), or fetched live from a `campaign-server`
-//! coordinator with `campaign explore --server URL`.
+//! ([`render_explorer`]).
 //!
-//! The point-execution and manifest machinery lives in [`points`], which
-//! the `mmhew-serve` campaign service (coordinator + worker fleet)
-//! reuses: `campaign submit --server URL` (see [`client`]) hands a spec
-//! to a running coordinator instead of executing it in-process.
+//! The point-execution and manifest machinery lives in [`points`]; the
+//! single-process driver in [`run`] is a thin shell over it.
 
-pub mod client;
 pub mod explorer;
 pub mod points;
 pub mod run;
 pub mod spec;
 
 pub use explorer::{render_explorer, ExplorerError, ExplorerOptions};
-pub use points::{
-    ensure_manifest_header, load_manifest, manifest_header, point_seed, run_point, run_point_line,
-    MANIFEST_SCHEMA_VERSION,
-};
+pub use points::{manifest_header, point_seed, run_point, MANIFEST_SCHEMA_VERSION};
 pub use run::{run_campaign, CampaignError, CampaignOptions, CampaignOutcome};
 pub use spec::{AxisSpec, EngineKind, GridMode, Point, SpecError, SweepSpec, AXES};

@@ -1,27 +1,26 @@
-//! Point execution and manifest I/O — the location-independent core the
-//! campaign engine and the campaign *service* (`mmhew-serve`) share.
+//! Point execution and manifest I/O — the core under the campaign
+//! driver ([`crate::run_campaign`]) and the point replay ([`run_point`]).
 //!
 //! Everything here is a pure function of `(spec, point id)` plus the
 //! bytes already on disk:
 //!
-//! * [`run_point_line`] compiles one grid point into a
+//! * `run_point_line` compiles one grid point into a
 //!   [`mmhew_discovery::Scenario`], runs its repetitions shard by shard
 //!   (merging aggregates in shard order, so floating-point sums never
 //!   depend on scheduling), and renders the manifest line — the same
-//!   bytes whether it runs in-process, on a worker across the network,
-//!   or twice after a crash.
-//! * The manifest helpers ([`manifest_header`], [`ensure_manifest_header`],
-//!   [`load_manifest`], [`append_manifest`], [`write_artifact_file`])
+//!   bytes whether it runs inside a full campaign, alone, or twice after
+//!   a crash.
+//! * The manifest helpers ([`manifest_header`], `ensure_manifest_header`,
+//!   `load_manifest`, `append_manifest`, `write_artifact_file`)
 //!   implement the checkpoint format: a *spec-echo header* line
 //!   (`{"schema_version":…,"spec":…}`) followed by one JSON line per
 //!   completed point. Appends are whole lines, so a crash leaves at most
 //!   one torn final line; loading drops torn data lines, and a torn or
 //!   missing header is rewritten rather than aborting a resume.
 //!
-//! The single-process driver ([`crate::run_campaign`]) and the
-//! coordinator/worker pair in `mmhew-serve` are both thin shells over
-//! this module, which is what makes a distributed campaign's manifest
-//! byte-identical to a single-process run of the same spec and seed.
+//! The driver is a thin shell over this module, which is what makes a
+//! resumed campaign's manifest byte-identical to an uninterrupted run of
+//! the same spec and seed.
 
 use crate::run::CampaignError;
 use crate::spec::{EngineKind, Point, SweepSpec};
@@ -53,8 +52,8 @@ pub(crate) const REPS_PER_SHARD: u64 = 4;
 ///   versioning existed) are the same shape minus the stamp and are
 ///   accepted by every reader; lines stamped with a *newer* version are
 ///   rejected rather than misread. The spec-echo header
-///   (`{"schema_version":1,"spec":{…}}`) joined the format alongside the
-///   campaign service; readers ignore it when absent.
+///   (`{"schema_version":1,"spec":{…}}`) joined the format later;
+///   readers ignore it when absent.
 pub const MANIFEST_SCHEMA_VERSION: u32 = 1;
 
 /// The seed subtree owning all randomness of one point: derived from the
@@ -340,14 +339,13 @@ pub(crate) fn render_record(
 }
 
 /// Runs every repetition of one already-expanded point and renders its
-/// manifest line — byte-identical to what a full campaign (single-process
-/// or distributed) records for that point. This is the unit of work a
-/// `mmhew-serve` worker executes per lease.
+/// manifest line — byte-identical to what a full campaign records for
+/// that point.
 ///
 /// # Errors
 ///
 /// Returns any compile/run/serialize failure.
-pub fn run_point_line(spec: &SweepSpec, point: &Point) -> Result<String, CampaignError> {
+pub(crate) fn run_point_line(spec: &SweepSpec, point: &Point) -> Result<String, CampaignError> {
     let ctx = compile_point(spec, point)?;
     let mut agg = Agg::new(spec);
     for (start, len) in shards(spec.reps) {
@@ -357,8 +355,7 @@ pub fn run_point_line(spec: &SweepSpec, point: &Point) -> Result<String, Campaig
 }
 
 /// Re-runs a single point in isolation (validating the spec and looking
-/// the point up by id) and returns its manifest line. See
-/// [`run_point_line`] for the by-reference form.
+/// the point up by id) and returns its manifest line.
 ///
 /// # Errors
 ///
@@ -376,9 +373,9 @@ pub fn run_point(spec: &SweepSpec, point_id: u64) -> Result<String, CampaignErro
 
 /// The spec-echo header: the first line of every manifest, recording
 /// which spec (in canonical [`SweepSpec::to_json`] form) the data lines
-/// belong to. Readers that predate it skip it (no `point` field); the
-/// campaign service uses it to refuse resuming one campaign's manifest
-/// under a different spec.
+/// belong to. Readers that predate it skip it (no `point` field); resume
+/// uses it to refuse continuing one campaign's manifest under a
+/// different spec.
 pub fn manifest_header(spec: &SweepSpec) -> String {
     format!(
         "{{\"schema_version\":{MANIFEST_SCHEMA_VERSION},\"spec\":{}}}",
@@ -405,12 +402,12 @@ fn is_header(v: &Value) -> bool {
 ///
 /// Returns [`CampaignError::Manifest`] on a spec mismatch, or any I/O
 /// failure.
-pub fn ensure_manifest_header(path: &Path, spec: &SweepSpec) -> Result<(), CampaignError> {
+pub(crate) fn ensure_manifest_header(path: &Path, spec: &SweepSpec) -> Result<(), CampaignError> {
     let header = manifest_header(spec);
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
-        Err(e) => return Err(e.into()),
+        Err(e) => return Err(CampaignError::io(path)(e)),
     };
     let header_intact = match text.lines().next().map(parse) {
         Some(Ok(v)) if is_header(&v) => {
@@ -454,10 +451,10 @@ pub fn ensure_manifest_header(path: &Path, spec: &SweepSpec) -> Result<(), Campa
     }
     let tmp = path.with_extension("jsonl.tmp");
     if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)?;
+        std::fs::create_dir_all(parent).map_err(CampaignError::io(parent))?;
     }
-    std::fs::write(&tmp, out)?;
-    std::fs::rename(&tmp, path)?;
+    std::fs::write(&tmp, out).map_err(CampaignError::io(&tmp))?;
+    std::fs::rename(&tmp, path).map_err(CampaignError::io(path))?;
     Ok(())
 }
 
@@ -466,12 +463,12 @@ pub fn ensure_manifest_header(path: &Path, spec: &SweepSpec) -> Result<(), Campa
 /// unparseable. Unversioned lines (pre-[`MANIFEST_SCHEMA_VERSION`]
 /// manifests) load fine; a line stamped with a newer schema is an error —
 /// resuming on top of it would mix shapes in one file.
-pub fn load_manifest(path: &Path) -> Result<BTreeMap<u64, String>, CampaignError> {
+pub(crate) fn load_manifest(path: &Path) -> Result<BTreeMap<u64, String>, CampaignError> {
     let mut done = BTreeMap::new();
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(done),
-        Err(e) => return Err(e.into()),
+        Err(e) => return Err(CampaignError::io(path)(e)),
     };
     for line in text.lines() {
         if let Ok(v) = parse(line) {
@@ -493,25 +490,26 @@ pub fn load_manifest(path: &Path) -> Result<BTreeMap<u64, String>, CampaignError
 
 /// Appends manifest lines, one `write` per line so interruption leaves at
 /// most one torn final line.
-pub fn append_manifest(path: &Path, lines: &[String]) -> Result<(), CampaignError> {
+pub(crate) fn append_manifest(path: &Path, lines: &[String]) -> Result<(), CampaignError> {
     let mut file = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
-        .open(path)?;
+        .open(path)
+        .map_err(CampaignError::io(path))?;
     for line in lines {
         // One write per record keeps lines whole under interruption.
-        file.write_all(format!("{line}\n").as_bytes())?;
+        file.write_all(format!("{line}\n").as_bytes())
+            .map_err(CampaignError::io(path))?;
     }
-    file.flush()?;
+    file.flush().map_err(CampaignError::io(path))?;
     Ok(())
 }
 
 /// Renders the final artifact from the manifest lines, sorted by point
 /// id, and moves it into place atomically (temp file + rename). Reusing
-/// the recorded lines verbatim is what makes a resumed (or distributed)
-/// campaign's artifact byte-identical to an uninterrupted single-process
-/// one.
-pub fn write_artifact_file(
+/// the recorded lines verbatim is what makes a resumed campaign's
+/// artifact byte-identical to an uninterrupted one.
+pub(crate) fn write_artifact_file(
     spec: &SweepSpec,
     path: &Path,
     done: &BTreeMap<u64, String>,
@@ -527,8 +525,8 @@ pub fn write_artifact_file(
     }
     out.push_str("\n]}\n");
     let tmp = path.with_extension("json.tmp");
-    std::fs::write(&tmp, out)?;
-    std::fs::rename(&tmp, path)?;
+    std::fs::write(&tmp, out).map_err(CampaignError::io(&tmp))?;
+    std::fs::rename(&tmp, path).map_err(CampaignError::io(path))?;
     Ok(path.to_path_buf())
 }
 

@@ -30,8 +30,7 @@
 //! manifest lines sorted by point id and written via temp-file rename, so
 //! an interrupted-then-resumed campaign produces a byte-identical
 //! artifact to an uninterrupted one. The mechanics live in
-//! [`crate::points`], shared with the `mmhew-serve` campaign service —
-//! which is why a distributed run's manifest is byte-identical too.
+//! [`crate::points`].
 
 use crate::points::{self, Agg};
 use crate::spec::{Point, SweepSpec};
@@ -41,7 +40,7 @@ use mmhew_topology::BuildError;
 use mmhew_util::SeedTree;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Points checkpointed together. A chunk is the failure-atomicity unit:
 /// its manifest lines land only after every point in it finished.
@@ -93,8 +92,13 @@ pub enum CampaignError {
     Build(BuildError),
     /// A point's protocol stack could not be built.
     Protocol(ProtocolError),
-    /// Manifest / artifact I/O failed.
-    Io(std::io::Error),
+    /// Manifest / artifact I/O on `path` failed.
+    Io {
+        /// The file or directory the failed operation named.
+        path: PathBuf,
+        /// The underlying failure.
+        source: std::io::Error,
+    },
     /// An existing manifest cannot be consumed (e.g. it was written by a
     /// newer schema than this binary understands, or belongs to a
     /// different spec).
@@ -111,7 +115,9 @@ impl fmt::Display for CampaignError {
             CampaignError::Spec(e) => write!(f, "{e}"),
             CampaignError::Build(e) => write!(f, "network build failed: {e}"),
             CampaignError::Protocol(e) => write!(f, "protocol build failed: {e}"),
-            CampaignError::Io(e) => write!(f, "campaign I/O failed: {e}"),
+            CampaignError::Io { path, source } => {
+                write!(f, "campaign I/O failed on {}: {source}", path.display())
+            }
             CampaignError::Manifest(e) => write!(f, "manifest unusable: {e}"),
             CampaignError::Render(e) => write!(f, "record serialization failed: {e}"),
             CampaignError::UnknownPoint(id) => write!(f, "point {id} is outside the grid"),
@@ -120,6 +126,17 @@ impl fmt::Display for CampaignError {
 }
 
 impl std::error::Error for CampaignError {}
+
+impl CampaignError {
+    /// Wraps an I/O failure on `path`; there is deliberately no blanket
+    /// `From<io::Error>`, so every call site names the path it touched.
+    pub(crate) fn io(path: &Path) -> impl FnOnce(std::io::Error) -> CampaignError + '_ {
+        move |source| CampaignError::Io {
+            path: path.to_path_buf(),
+            source,
+        }
+    }
+}
 
 impl From<crate::spec::SpecError> for CampaignError {
     fn from(e: crate::spec::SpecError) -> Self {
@@ -136,12 +153,6 @@ impl From<BuildError> for CampaignError {
 impl From<ProtocolError> for CampaignError {
     fn from(e: ProtocolError) -> Self {
         CampaignError::Protocol(e)
-    }
-}
-
-impl From<std::io::Error> for CampaignError {
-    fn from(e: std::io::Error) -> Self {
-        CampaignError::Io(e)
     }
 }
 
@@ -196,14 +207,14 @@ pub fn run_campaign(
     opts: &CampaignOptions,
 ) -> Result<CampaignOutcome, CampaignError> {
     spec.validate()?;
-    std::fs::create_dir_all(&opts.out_dir)?;
+    std::fs::create_dir_all(&opts.out_dir).map_err(CampaignError::io(&opts.out_dir))?;
     let manifest = manifest_path(spec, opts);
     let mut done = if opts.resume {
         points::ensure_manifest_header(&manifest, spec)?;
         points::load_manifest(&manifest)?
     } else {
         if manifest.exists() {
-            std::fs::remove_file(&manifest)?;
+            std::fs::remove_file(&manifest).map_err(CampaignError::io(&manifest))?;
         }
         points::ensure_manifest_header(&manifest, spec)?;
         BTreeMap::new()

@@ -96,6 +96,32 @@ pub const AXES: &[(&str, f64)] = &[
 /// Axes that only exist on the slot-synchronous engine.
 pub const SYNC_ONLY_AXES: &[&str] = &["jam", "churn-rate", "robust", "start-window"];
 
+/// The integral axes, each with the integer type a point casts it to and
+/// that type's exclusive upper bound as an `f64`.
+const INTEGRAL_AXES: &[(&str, &str, f64)] = &[
+    ("nodes", "u64", U64_END),
+    ("universe", "u16", U16_END),
+    ("avail", "u16", U16_END),
+    ("delta-est", "u64", U64_END),
+    ("jam", "u16", U16_END),
+    ("robust", "u64", U64_END),
+    ("start-window", "u64", U64_END),
+];
+const U16_END: f64 = 65_536.0;
+/// 2⁶⁴, exactly representable.
+const U64_END: f64 = 18_446_744_073_709_551_616.0;
+
+/// Most points one spec may expand to (numeric grid × protocols). The
+/// largest shipped spec has 20.
+const MAX_POINTS: u64 = 1 << 20;
+
+/// Most repetitions per point; a point keeps one work item per four
+/// repetitions in memory.
+const MAX_REPS: u64 = 1 << 20;
+
+/// Most histogram bins per point; every shard allocates them.
+const MAX_HIST_BINS: usize = 1 << 16;
+
 /// A complete sweep description. See the [module docs](self) for the JSON
 /// shape; construct programmatically for built-ins like [`SweepSpec::smoke`].
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -203,7 +229,8 @@ impl SweepSpec {
     /// # Errors
     ///
     /// Returns [`SpecError`] on malformed JSON, missing fields, unknown
-    /// axes / algorithms / topologies, or inconsistent grids.
+    /// axes / algorithms / topologies, inconsistent grids, or numbers
+    /// outside the bounds [`SweepSpec::validate`] enforces.
     pub fn from_json(text: &str) -> Result<Self, SpecError> {
         let doc = parse(text).map_err(SpecError::Json)?;
         let name = doc
@@ -330,10 +357,9 @@ impl SweepSpec {
     /// Serializes the spec back to the canonical JSON document shape
     /// [`SweepSpec::from_json`] reads (kebab-case field names, axes as an
     /// ordered object) — `from_json(spec.to_json())` reconstructs the
-    /// spec exactly. This is the wire and manifest-header form: the
-    /// campaign service ships specs between `campaign submit`, the
-    /// coordinator, and its workers as this text, and the manifest's
-    /// spec-echo header records it.
+    /// spec exactly. The manifest's spec-echo header records this form,
+    /// and resume compares it to refuse mixing two campaigns in one
+    /// manifest.
     pub fn to_json(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::from("{\"name\":");
@@ -428,7 +454,13 @@ impl SweepSpec {
         spec
     }
 
-    /// Checks every invariant the campaign engine relies on.
+    /// Checks every invariant the campaign engine relies on, including a
+    /// bound on every number the spec carries: at most 2²⁰ points, 2²⁰
+    /// repetitions and 2¹⁶ histogram bins; `edge-prob` in `[0, 1]`; a
+    /// positive finite `churn-downtime`; and integral axes (`nodes`,
+    /// `universe`, `avail`, `delta-est`, `jam`, `robust`,
+    /// `start-window`) holding integers that fit the type each point
+    /// casts them to.
     ///
     /// # Errors
     ///
@@ -465,14 +497,23 @@ impl SweepSpec {
                 self.topology
             ));
         }
-        if self.reps == 0 {
-            return err("reps must be at least 1".to_string());
+        if !(1..=MAX_REPS).contains(&self.reps) {
+            return err(format!("reps must be in 1..={MAX_REPS}"));
         }
         if self.budget == 0 {
             return err("budget must be positive".to_string());
         }
-        if self.hist_bins == 0 {
-            return err("hist-bins must be at least 1".to_string());
+        if !(1..=MAX_HIST_BINS).contains(&self.hist_bins) {
+            return err(format!("hist-bins must be in 1..={MAX_HIST_BINS}"));
+        }
+        if !(0.0..=1.0).contains(&self.edge_prob) {
+            return err(format!("edge-prob {} must be in [0, 1]", self.edge_prob));
+        }
+        if !(self.churn_downtime.is_finite() && self.churn_downtime > 0.0) {
+            return err(format!(
+                "churn-downtime {} must be positive and finite",
+                self.churn_downtime
+            ));
         }
         if self.axes.is_empty() && self.protocols.is_empty() {
             return err("at least one axis must be swept".to_string());
@@ -521,6 +562,14 @@ impl SweepSpec {
             if axis.name == "loss" && axis.values.iter().any(|v| *v >= 1.0) {
                 return err("axis \"loss\": Bernoulli loss probabilities must be < 1".to_string());
             }
+            if let Some((_, ty, end)) = INTEGRAL_AXES.iter().find(|(n, _, _)| *n == axis.name) {
+                if let Some(v) = axis.values.iter().find(|v| v.fract() != 0.0 || **v >= *end) {
+                    return err(format!(
+                        "axis {:?} takes integers that fit {ty}, not {v}",
+                        axis.name
+                    ));
+                }
+            }
             if self.engine == EngineKind::Async && SYNC_ONLY_AXES.contains(&axis.name.as_str()) {
                 return err(format!(
                     "axis {:?} is slot-synchronous only (async engine has no {})",
@@ -544,6 +593,20 @@ impl SweepSpec {
                         first.name
                     ));
                 }
+            }
+        }
+        // Before the storage cap, which visits every nodes × universe pair.
+        match self.grid_len(self.protocols.len().max(1) as u64) {
+            Some(points) if points <= MAX_POINTS => {}
+            Some(points) => {
+                return err(format!(
+                    "{points} grid points, over the cap of {MAX_POINTS}"
+                ))
+            }
+            None => {
+                return err(format!(
+                    "grid point count overflows u64, over the cap of {MAX_POINTS}"
+                ))
             }
         }
         self.validate_storage_cap()?;
@@ -597,21 +660,30 @@ impl SweepSpec {
     /// `id = protocol_index * numeric_grid_len + numeric_id`, and the
     /// per-point seed derivation reduces ids modulo it so every protocol
     /// sees identical per-point randomness (matched head-to-head runs).
+    /// Saturates at `u64::MAX`; a valid spec has at most 2²⁰ points.
     pub fn numeric_grid_len(&self) -> u64 {
-        if self.axes.is_empty() {
-            return 1;
-        }
-        (match self.mode {
-            GridMode::Zip => self.axes[0].values.len(),
-            GridMode::Cartesian => self.axes.iter().map(|a| a.values.len()).product(),
-        }) as u64
+        self.grid_len(1).unwrap_or(u64::MAX)
+    }
+
+    /// The numeric grid's point count times `copies`, or `None` when it
+    /// overflows `u64`.
+    fn grid_len(&self, copies: u64) -> Option<u64> {
+        let numeric = match self.mode {
+            GridMode::Zip => self.axes.first().map_or(1, |a| a.values.len() as u64),
+            GridMode::Cartesian => self
+                .axes
+                .iter()
+                .try_fold(1u64, |n, a| n.checked_mul(a.values.len() as u64))?,
+        };
+        numeric.checked_mul(copies)
     }
 
     /// Expands the grid into numbered points, cartesian (last axis
     /// fastest) or zipped. The categorical `protocol` axis multiplies the
     /// numeric grid in both modes (zip pairs numeric axes only) and
     /// varies slowest. The order — hence every point id — is a pure
-    /// function of the spec.
+    /// function of the spec. Expand only a validated spec: validation is
+    /// what bounds the number of points allocated here.
     pub fn expand(&self) -> Vec<Point> {
         let numeric: Vec<Point> = if self.axes.is_empty() {
             vec![Point {
@@ -632,25 +704,22 @@ impl SweepSpec {
                             .collect(),
                     })
                     .collect(),
-                GridMode::Cartesian => {
-                    let total: usize = self.axes.iter().map(|a| a.values.len()).product();
-                    (0..total)
-                        .map(|mut flat| {
-                            let id = flat as u64;
-                            let mut values = vec![(String::new(), 0.0); self.axes.len()];
-                            for (slot, axis) in values.iter_mut().zip(&self.axes).rev() {
-                                let k = axis.values.len();
-                                *slot = (axis.name.clone(), axis.values[flat % k]);
-                                flat /= k;
-                            }
-                            Point {
-                                id,
-                                protocol: None,
-                                values,
-                            }
-                        })
-                        .collect()
-                }
+                GridMode::Cartesian => (0..self.numeric_grid_len())
+                    .map(|id| {
+                        let mut flat = id as usize;
+                        let mut values = vec![(String::new(), 0.0); self.axes.len()];
+                        for (slot, axis) in values.iter_mut().zip(&self.axes).rev() {
+                            let k = axis.values.len();
+                            *slot = (axis.name.clone(), axis.values[flat % k]);
+                            flat /= k;
+                        }
+                        Point {
+                            id,
+                            protocol: None,
+                            values,
+                        }
+                    })
+                    .collect(),
             }
         };
         if self.protocols.is_empty() {
@@ -674,6 +743,8 @@ impl SweepSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmhew_util::{prop, Xoshiro256StarStar};
+    use rand::Rng;
 
     #[test]
     fn cartesian_expansion_orders_last_axis_fastest() {
@@ -883,10 +954,9 @@ mod tests {
 
     #[test]
     fn canonical_json_round_trips_exactly() {
-        // to_json must be the precise inverse of from_json: the campaign
-        // service ships specs as this text, and a worker that parses it
-        // must reconstruct the identical spec (identical seeds, points,
-        // and manifest lines).
+        // to_json must be the precise inverse of from_json: the manifest's
+        // spec-echo header records specs as this text, and resume must
+        // recognise the identical spec in it.
         let mut spec = SweepSpec::smoke();
         assert_eq!(SweepSpec::from_json(&spec.to_json()).expect("parses"), spec);
 
@@ -908,10 +978,186 @@ mod tests {
     }
 
     #[test]
+    fn numbers_outside_their_bounds_are_rejected_by_name() {
+        let bad = |text: &str| {
+            SweepSpec::from_json(text)
+                .expect_err("must fail")
+                .to_string()
+        };
+        let msg = bad(r#"{"name": "t", "hist-bins": 1e18, "axes": {"nodes": [4]}}"#);
+        assert!(msg.contains("hist-bins"), "{msg}");
+        let msg = bad(r#"{"name": "t", "axes": {"nodes": [2.5]}}"#);
+        assert!(msg.contains("\"nodes\"") && msg.contains("2.5"), "{msg}");
+        let msg = bad(r#"{"name": "t", "axes": {"universe": [1e15]}}"#);
+        assert!(msg.contains("\"universe\"") && msg.contains("u16"), "{msg}");
+        // 2¹¹ values on each of 2 axes make 2²² points; 2⁴ axes of 2¹⁶
+        // values each overflow u64 outright.
+        let axis = |n: usize| {
+            let values: Vec<String> = (0..n).map(|v| (v % 2).to_string()).collect();
+            format!("[{}]", values.join(","))
+        };
+        let msg = bad(&format!(
+            r#"{{"name": "t", "axes": {{"jam": {}, "avail": {}}}}}"#,
+            axis(1 << 11),
+            axis(1 << 11)
+        ));
+        assert!(msg.contains("grid points"), "{msg}");
+        let big = axis(1 << 16);
+        let msg = bad(&format!(
+            r#"{{"name": "t", "axes": {{"delta-est": {big}, "avail": {big}, "jam": {big}, "robust": {big}, "start-window": {big}}}}}"#
+        ));
+        assert!(msg.contains("overflows"), "{msg}");
+    }
+
+    /// Hostile number literals: huge, negative, fractional, past `u64`
+    /// and past `f64`.
+    const HOSTILE: &[&str] = &[
+        "1e18",
+        "1e15",
+        "4294967296",
+        "1048577",
+        "65536",
+        "-1",
+        "-0.5",
+        "2.5",
+        "0.5",
+        "1e400",
+        "-1e400",
+        "2e19",
+    ];
+    /// Top-level spec fields a mutation may write.
+    const TOP_KEYS: &[&str] = &[
+        "hist-bins",
+        "reps",
+        "budget",
+        "seed",
+        "edge-prob",
+        "churn-downtime",
+        "name",
+        "axes",
+    ];
+
+    fn pick<'a, T>(rng: &mut Xoshiro256StarStar, items: &'a [T]) -> &'a T {
+        &items[rng.gen_range(0..items.len())]
+    }
+
+    /// One structural mutation of a spec document, on the top level or
+    /// in `axes`: drop a member, write a hostile number over a member or
+    /// in front of all of them under a (possibly duplicate) key, or bury
+    /// a member's value 200 arrays deep. A hostile number is written as
+    /// the string `"#<literal>#"`, whose quotes and marks the caller strips
+    /// after serializing, since `Value` cannot hold `1e400` or `2e19`
+    /// as written.
+    fn mutate(rng: &mut Xoshiro256StarStar, doc: &mut Value) {
+        let Value::Obj(top) = doc else { return };
+        let axes = top.iter().position(|(k, _)| k == "axes");
+        let (fields, keys): (&mut Vec<(String, Value)>, Vec<&str>) = match axes {
+            Some(i) if rng.gen_bool(0.5) => match &mut top[i].1 {
+                Value::Obj(fields) => (
+                    fields,
+                    AXES.iter().map(|(n, _)| *n).chain(["protocol"]).collect(),
+                ),
+                _ => return,
+            },
+            _ => (top, TOP_KEYS.to_vec()),
+        };
+        let number = Value::Str(format!("#{}#", pick(rng, HOSTILE)));
+        let hostile = if rng.gen_bool(0.5) {
+            number
+        } else {
+            Value::Arr(vec![number])
+        };
+        let op = rng.gen_range(0..4u32);
+        if fields.is_empty() || op == 0 {
+            fields.insert(0, (pick(rng, &keys).to_string(), hostile));
+            return;
+        }
+        let i = rng.gen_range(0..fields.len());
+        match op {
+            1 => fields[i].1 = hostile,
+            2 => {
+                fields.remove(i);
+            }
+            _ => {
+                let mut v = std::mem::replace(&mut fields[i].1, Value::Null);
+                for _ in 0..200 {
+                    v = Value::Arr(vec![v]);
+                }
+                fields[i].1 = v;
+            }
+        }
+    }
+
+    /// Every bound `validate` promises, checked on an accepted spec.
+    fn assert_bounded(spec: &SweepSpec, text: &str) {
+        assert!((1..=MAX_REPS).contains(&spec.reps), "reps of {text}");
+        assert!(
+            (1..=MAX_HIST_BINS).contains(&spec.hist_bins),
+            "hist-bins of {text}"
+        );
+        assert!((0.0..=1.0).contains(&spec.edge_prob), "edge-prob of {text}");
+        assert!(
+            spec.churn_downtime.is_finite() && spec.churn_downtime > 0.0,
+            "churn-downtime of {text}"
+        );
+        let points = spec
+            .numeric_grid_len()
+            .checked_mul(spec.protocols.len().max(1) as u64);
+        assert!(
+            points.is_some_and(|n| n <= MAX_POINTS),
+            "point count of {text}"
+        );
+        for axis in &spec.axes {
+            if let Some((_, _, end)) = INTEGRAL_AXES.iter().find(|(n, _, _)| *n == axis.name) {
+                assert!(
+                    axis.values.iter().all(|v| v.fract() == 0.0 && *v < *end),
+                    "axis {:?} of {text}",
+                    axis.name
+                );
+            }
+        }
+    }
+
+    /// Mutated shipped specs either fail with a [`SpecError`] or parse
+    /// into a spec inside every bound; nothing panics, and no unbounded
+    /// spec is ever expanded or run.
+    #[test]
+    fn hostile_specs_fail_by_name_or_stay_bounded() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs");
+        let mut bases: Vec<String> = std::fs::read_dir(dir)
+            .expect("specs/ exists")
+            .map(|entry| entry.expect("dir entry").path())
+            .filter(|path| path.extension().is_some_and(|e| e == "json"))
+            .map(|path| std::fs::read_to_string(path).expect("readable spec"))
+            .collect();
+        // Directory order varies by platform; sorting pins every case.
+        bases.sort();
+        bases.push(SweepSpec::smoke().to_json());
+        prop::check("hostile_specs_fail_by_name_or_stay_bounded", 2048, |rng| {
+            let base: &String = pick(rng, &bases);
+            let mut doc = parse(base).expect("shipped specs parse");
+            for _ in 0..rng.gen_range(1..4u32) {
+                mutate(rng, &mut doc);
+            }
+            let mut text = doc.to_json().replace("\"#", "").replace("#\"", "");
+            if rng.gen_bool(0.2) {
+                let mut cut = rng.gen_range(0..text.len());
+                while !text.is_char_boundary(cut) {
+                    cut -= 1;
+                }
+                text.truncate(cut);
+            }
+            if let Ok(spec) = SweepSpec::from_json(&text) {
+                assert_bounded(&spec, &text);
+            }
+        });
+    }
+
+    #[test]
     fn checked_in_smoke_spec_file_matches_the_builtin() {
-        // The README's campaign-server quickstart points at
-        // specs/smoke.json; keep it in lockstep with SweepSpec::smoke()
-        // so the two paths produce identical campaigns.
+        // CI and the docs run specs/smoke.json as well as `--smoke`; keep
+        // it in lockstep with SweepSpec::smoke() so the two produce
+        // identical campaigns.
         let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/smoke.json");
         let text = std::fs::read_to_string(path).expect("specs/smoke.json exists");
         assert_eq!(

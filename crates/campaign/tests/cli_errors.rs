@@ -1,6 +1,7 @@
 //! Negative-path coverage of the `campaign` CLI: a rejected spec must
 //! name the offending axis and list the accepted values, so a typo in a
-//! 40-line sweep file is a ten-second fix rather than an archaeology dig.
+//! 40-line sweep file is a ten-second fix rather than an archaeology dig,
+//! and a failed file operation must name its path.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -135,4 +136,20 @@ fn valid_protocol_axis_spec_runs_end_to_end() {
     assert!(lines[1].contains("\"protocol\":\"staged\""), "{}", lines[1]);
     assert!(lines[2].contains("\"protocol\":\"mc-dis\""), "{}", lines[2]);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn out_dir_that_is_a_file_is_named_in_the_error() {
+    let file = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml");
+    let out = Command::new(env!("CARGO_BIN_EXE_campaign"))
+        .args(["--smoke", "--out", file])
+        .output()
+        .expect("spawn campaign");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "a file is no output directory");
+    assert!(stderr.contains(file), "error names the path: {stderr}");
+    assert!(
+        !stderr.contains("panicked"),
+        "named error, no panic: {stderr}"
+    );
 }

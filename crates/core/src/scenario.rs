@@ -53,7 +53,7 @@ use mmhew_obs::{EventSink, FanoutSink};
 use mmhew_perfetto::PerfettoSink;
 use mmhew_topology::{Network, NodeId};
 use mmhew_util::SeedTree;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// Default slot/frame budget when no [`SyncRunConfig`]/[`AsyncRunConfig`]
 /// is supplied: run until complete within one million slots (frames).
@@ -142,13 +142,22 @@ impl Scenario {
 /// runs `run` with the result. Keeping the composition in one helper
 /// guarantees both scenario flavours wire it identically: the tee rides
 /// the exact event stream the user sink sees, and attaching it cannot
-/// perturb the simulation (sinks only observe).
+/// perturb the simulation (sinks only observe). The tee file is created
+/// before `run`, so an unusable path fails before the first slot.
 fn run_with_tee<T>(
     user: Option<&mut dyn EventSink>,
     perfetto: Option<PathBuf>,
     run: impl FnOnce(Option<&mut dyn EventSink>) -> T,
 ) -> Result<T, ProtocolError> {
-    let mut tee = perfetto.map(PerfettoSink::create);
+    let write_failed = |e: std::io::Error| {
+        let path = perfetto.as_deref().unwrap_or(Path::new(""));
+        ProtocolError::TraceWrite(format!("{}: {e}", path.display()))
+    };
+    let mut tee = perfetto
+        .as_ref()
+        .map(PerfettoSink::create)
+        .transpose()
+        .map_err(write_failed)?;
     let outcome = match (user, tee.as_mut()) {
         (Some(user), Some(t)) => {
             let mut fanout = FanoutSink::new(vec![user, t as &mut dyn EventSink]);
@@ -159,8 +168,7 @@ fn run_with_tee<T>(
         (None, None) => run(None),
     };
     if let Some(tee) = tee {
-        tee.finish()
-            .map_err(|e| ProtocolError::TraceWrite(e.to_string()))?;
+        tee.finish().map_err(write_failed)?;
     }
     Ok(outcome)
 }
@@ -497,6 +505,23 @@ mod tests {
             .universe(4)
             .build(SeedTree::new(0))
             .expect("build")
+    }
+
+    #[test]
+    fn unusable_perfetto_path_fails_before_the_first_slot() {
+        let net = small_net();
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml/x.pftrace");
+        let mut sink = mmhew_obs::CollectSink::new();
+        let err = Scenario::sync(
+            &net,
+            SyncAlgorithm::Staged(SyncParams::new(4).expect("valid")),
+        )
+        .with_sink(&mut sink)
+        .with_perfetto(path)
+        .run(SeedTree::new(1))
+        .expect_err("a file is no directory");
+        assert!(err.to_string().contains(path), "names the path: {err}");
+        assert!(sink.events.is_empty(), "the run never started");
     }
 
     #[test]

@@ -39,20 +39,36 @@
 //! all repetitions, and `--timeline` draws the first
 //! `--timeline-slots (120)` slots of repetition 0 as an ASCII slot×node
 //! grid (slotted algorithms only). Attaching sinks does not change the
-//! simulation: same seed, same outcome.
+//! simulation: same seed, same outcome. Both output files are created
+//! before the first repetition, so an unusable path fails at once.
+//!
+//! Errors print as one `simulate: …` line; a flag it cannot accept exits
+//! with status 2, a failed run with status 1.
 
 use mmhew_discovery::{
     tables_match_ground_truth, AsyncAlgorithm, AsyncParams, Bounds, Engine, Scenario,
     SyncAlgorithm, SyncParams,
 };
 use mmhew_engine::{AsyncRunConfig, AsyncStartSchedule, ClockConfig, StartSchedule, SyncRunConfig};
-use mmhew_harness::cli::Args;
+use mmhew_harness::cli::{Args, CliError};
 use mmhew_obs::{EventSink, FanoutSink, JsonlTraceSink, MetricsSink, TimelineSink};
 use mmhew_perfetto::PerfettoSink;
 use mmhew_spectrum::AvailabilityModel;
 use mmhew_time::{DriftBound, DriftModel, LocalDuration, RealDuration};
-use mmhew_topology::{Network, NetworkBuilder};
+use mmhew_topology::{Network, NetworkBuilder, StorageCapError};
 use mmhew_util::{SeedTree, Summary};
+
+/// A flag value `simulate` cannot accept, beyond what [`CliError`] names.
+#[derive(Debug)]
+struct FlagError(String);
+
+impl std::fmt::Display for FlagError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl std::error::Error for FlagError {}
 
 fn build_network(args: &Args, seed: SeedTree) -> Result<Network, Box<dyn std::error::Error>> {
     let nodes: usize = args.get_or("nodes", 16)?;
@@ -101,7 +117,15 @@ fn build_network(args: &Args, seed: SeedTree) -> Result<Network, Box<dyn std::er
         .build(seed)?)
 }
 
-fn main() -> Result<(), Box<dyn std::error::Error>> {
+fn main() {
+    if let Err(e) = run() {
+        eprintln!("simulate: {e}");
+        let flag = e.is::<CliError>() || e.is::<FlagError>() || e.is::<StorageCapError>();
+        std::process::exit(if flag { 2 } else { 1 });
+    }
+}
+
+fn run() -> Result<(), Box<dyn std::error::Error>> {
     let args = Args::parse()?;
     args.expect_only(
         &[
@@ -165,25 +189,26 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     if args.raw("protocol").is_some() && args.raw("algorithm").is_some() {
-        return Err(
+        return Err(FlagError(
             "--protocol and --algorithm are mutually exclusive (the catalog entry \
              already picks the algorithm)"
                 .into(),
-        );
+        )
+        .into());
     }
     let rival = match args.raw("protocol") {
         Some(name) => {
             let kind = mmhew_rivals::catalog::by_name(name).ok_or_else(|| {
-                format!(
+                FlagError(format!(
                     "--protocol {name:?} is not in the catalog (known names: {})",
                     mmhew_rivals::catalog::names(mmhew_rivals::Family::Sync).join(", ")
-                )
+                ))
             })?;
             if kind.family == mmhew_rivals::Family::Async {
-                return Err(format!(
+                return Err(FlagError(format!(
                     "--protocol {name} is the asynchronous frame-based algorithm — \
                      run it as --algorithm alg4 instead"
-                )
+                ))
                 .into());
             }
             Some(kind)
@@ -196,7 +221,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         _ => Engine::Slotted,
     };
     if engine == Engine::Event && algorithm == "alg4" {
-        return Err("--engine event drives the slotted engine only (alg4 is asynchronous)".into());
+        let msg = "--engine event drives the slotted engine only (alg4 is asynchronous)";
+        return Err(FlagError(msg.into()).into());
     }
     let mut completions: Vec<f64> = Vec::new();
     let mut ok = true;
@@ -207,12 +233,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let timeline_slots: usize = args.get_or("timeline-slots", 120)?;
     let mut metrics = metrics_on.then(MetricsSink::new);
     let mut timeline = timeline_on.then(|| TimelineSink::new(timeline_slots));
+    let unusable = |flag: &str, p: &str, e| FlagError(format!("--{flag}: cannot create {p}: {e}"));
     let mut trace = match &trace_path {
-        Some(p) => Some(JsonlTraceSink::create(p)?),
+        Some(p) => Some(JsonlTraceSink::create(p).map_err(|e| unusable("trace", p, e))?),
         None => None,
     };
     let perfetto_path = args.raw("perfetto").map(str::to_string);
-    let mut perfetto = perfetto_path.as_ref().map(PerfettoSink::create);
+    let mut perfetto = match &perfetto_path {
+        Some(p) => Some(PerfettoSink::create(p).map_err(|e| unusable("perfetto", p, e))?),
+        None => None,
+    };
     let observing = metrics_on || timeline_on || trace_path.is_some() || perfetto_path.is_some();
 
     if rival.is_none() && algorithm == "alg4" {
@@ -380,21 +410,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             print!("{}", t.render());
         }
     }
-    if let Some(t) = trace {
+    if let (Some(t), Some(path)) = (trace, trace_path) {
         let events = t.events();
-        t.finish()?;
-        println!(
-            "trace: {events} events written to {}",
-            trace_path.as_deref().unwrap_or_default()
-        );
+        t.finish()
+            .map_err(|e| format!("--trace: cannot write {path}: {e}"))?;
+        println!("trace: {events} events written to {path}");
     }
-    if let Some(p) = perfetto {
+    if let (Some(p), Some(path)) = (perfetto, perfetto_path) {
         let events = p.events();
-        let bytes = p.finish()?;
-        println!(
-            "perfetto: {events} events → {bytes} bytes at {} (open at ui.perfetto.dev)",
-            perfetto_path.as_deref().unwrap_or_default()
-        );
+        let bytes = p
+            .finish()
+            .map_err(|e| format!("--perfetto: cannot write {path}: {e}"))?;
+        println!("perfetto: {events} events → {bytes} bytes at {path} (open at ui.perfetto.dev)");
     }
     Ok(())
 }

@@ -106,7 +106,27 @@ fn simulate_async_happy_path() {
 fn simulate_rejects_bad_flags() {
     let (_, stderr, ok) = run(env!("CARGO_BIN_EXE_simulate"), &["--algorithm", "bogus"]);
     assert!(!ok, "bogus algorithm must fail");
-    assert!(stderr.contains("UnknownVariant"), "{stderr}");
+    assert!(stderr.contains("--algorithm"), "names the flag: {stderr}");
+    assert!(stderr.contains("\"bogus\""), "names the value: {stderr}");
+    assert!(
+        stderr.contains("alg1") && stderr.contains("baseline"),
+        "lists the allowed values: {stderr}"
+    );
+}
+
+#[test]
+fn simulate_checks_output_paths_before_it_runs() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml/x");
+    for flag in ["--trace", "--perfetto"] {
+        let (stdout, stderr, ok) = run(env!("CARGO_BIN_EXE_simulate"), &[flag, path]);
+        assert!(!ok, "{flag} under a file must fail");
+        assert!(
+            stderr.contains(flag) && stderr.contains(path),
+            "names the flag and the path: {stderr}"
+        );
+        assert!(!stderr.contains("Os {"), "no Debug dump: {stderr}");
+        assert!(!stdout.contains("rep 0:"), "nothing runs first: {stdout}");
+    }
 }
 
 #[test]

@@ -10,8 +10,8 @@
 //! offending field.
 //!
 //! It is the workspace's one JSON parser: the trace reader
-//! ([`crate::reader`]), the bench-file checker, campaign specs and
-//! manifests, and the campaign service's HTTP bodies all read through it.
+//! ([`crate::reader`]), the bench-file checker, and campaign specs and
+//! manifests all read through it.
 
 use std::fmt;
 
@@ -87,9 +87,9 @@ impl Value {
     /// Serializes this value back to compact JSON text, matching the
     /// conventions of the write-side serializer in [`crate::json`]
     /// (compact separators, `{}`-formatted numbers, non-finite numbers as
-    /// `null`). Together with [`parse`] this makes [`Value`] a wire
-    /// format: a subobject of a parsed request/response can be lifted out
-    /// and re-sent without a schema.
+    /// `null`). Together with [`parse`] this lets a subobject of a parsed
+    /// document be lifted out and compared or re-written without a
+    /// schema.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         self.write_json(&mut out);

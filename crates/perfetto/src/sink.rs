@@ -1,7 +1,8 @@
 //! Live tee: an [`EventSink`] that feeds the converter during a run.
 
+use std::fs::File;
 use std::io::{self, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use mmhew_obs::{EventSink, SimEvent};
 
@@ -10,28 +11,38 @@ use crate::convert::{ConvertOptions, PerfettoConverter};
 /// An [`EventSink`] that converts events to a Perfetto trace as they are
 /// emitted and writes the `.pftrace` file on [`PerfettoSink::finish`].
 ///
-/// No I/O happens until `finish` (the protobuf `Trace` is assembled in
-/// memory — sub-messages are length-prefixed, so it cannot be streamed
-/// incrementally anyway), which also means attaching this sink can never
-/// perturb a simulation: it only observes, exactly like
-/// [`mmhew_obs::JsonlTraceSink`].
+/// The file is created (truncated) up front, so an unusable path fails
+/// before a run starts; the trace bytes are written only at `finish` (the
+/// protobuf `Trace` is assembled in memory — sub-messages are
+/// length-prefixed, so it cannot be streamed incrementally anyway). The
+/// sink only observes, so attaching it can never perturb a simulation,
+/// exactly like [`mmhew_obs::JsonlTraceSink`].
 pub struct PerfettoSink {
     converter: PerfettoConverter,
-    path: PathBuf,
+    file: File,
 }
 
 impl PerfettoSink {
-    /// A sink that will write `path` when finished.
-    pub fn create<P: AsRef<Path>>(path: P) -> Self {
+    /// Creates (truncating) the `.pftrace` file at `path`; the trace is
+    /// written to it when finished.
+    ///
+    /// # Errors
+    ///
+    /// Returns the I/O error when `path` cannot be created.
+    pub fn create<P: AsRef<Path>>(path: P) -> io::Result<Self> {
         Self::with_options(path, ConvertOptions::default())
     }
 
-    /// A sink with explicit windowing/filtering options.
-    pub fn with_options<P: AsRef<Path>>(path: P, opts: ConvertOptions) -> Self {
-        Self {
+    /// [`PerfettoSink::create`] with explicit windowing/filtering options.
+    ///
+    /// # Errors
+    ///
+    /// Returns the I/O error when `path` cannot be created.
+    pub fn with_options<P: AsRef<Path>>(path: P, opts: ConvertOptions) -> io::Result<Self> {
+        Ok(Self {
             converter: PerfettoConverter::with_options(opts),
-            path: path.as_ref().to_path_buf(),
-        }
+            file: File::create(path)?,
+        })
     }
 
     /// Events consumed so far.
@@ -41,11 +52,10 @@ impl PerfettoSink {
 
     /// Serializes the trace and writes the `.pftrace` file; returns the
     /// number of bytes written.
-    pub fn finish(self) -> io::Result<u64> {
+    pub fn finish(mut self) -> io::Result<u64> {
         let bytes = self.converter.finish();
-        let mut file = std::fs::File::create(&self.path)?;
-        file.write_all(&bytes)?;
-        file.flush()?;
+        self.file.write_all(&bytes)?;
+        self.file.flush()?;
         Ok(bytes.len() as u64)
     }
 }
@@ -67,7 +77,7 @@ mod tests {
         let dir = std::env::temp_dir().join("mmhew-perfetto-sink-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("out.pftrace");
-        let mut sink = PerfettoSink::create(&path);
+        let mut sink = PerfettoSink::create(&path).unwrap();
         sink.on_event(&SimEvent::SlotStart { slot: 0 });
         sink.on_event(&SimEvent::Phase {
             at: Stamp::Slot(0),

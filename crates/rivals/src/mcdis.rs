@@ -16,7 +16,7 @@
 //! Chinese Remainder Theorem keeps every transmit/listen pair of coprime
 //! primes co-active infinitely often regardless of phases.
 //!
-//! **Coverage caveat** (worked through in DESIGN.md §16): co-activity does
+//! **Coverage caveat** (worked through in DESIGN.md §15): co-activity does
 //! not imply *channel* alignment. Across co-active slots the transmit and
 //! listen channel indices advance by fixed strides, so the pair of indices
 //! walks a one-dimensional line in `Z_|A| × Z_|A|`. On full availability

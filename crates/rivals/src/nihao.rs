@@ -18,7 +18,7 @@
 //! `A-Nihao` assigns different `rows` classes by node.
 //!
 //! Two deterministic failure modes are inherent to the construction and
-//! documented rather than papered over (DESIGN.md §16): (1) a node never
+//! documented rather than papered over (DESIGN.md §15): (1) a node never
 //! listens in its own transmit column, so two nodes whose phases agree
 //! modulo `cols` are mutually deaf — the catalog uses `cols = 16` and
 //! `φ` = node id, which is collision-free for networks of up to 16 nodes;

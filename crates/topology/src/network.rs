@@ -847,11 +847,13 @@ impl Network {
 /// arena (`N · ⌈S/64⌉ · 8` bytes). Adjacency ids scale with the edge
 /// count, which depends on density, so this is the *floor* — the part
 /// that `N·S` word math alone determines and the part that silently OOMs
-/// a careless `--nodes 10000000` invocation.
+/// a careless `--nodes 10000000` invocation. Saturates at `u64::MAX`, so
+/// no node count wraps around to a small estimate.
 pub fn estimate_storage_bytes(nodes: u64, universe: u16) -> u64 {
     let s = u64::from(universe.max(1));
     let stride = s.div_ceil(64).max(1);
-    2 * (nodes * s + 1) * 4 + nodes * stride * 8
+    let offsets = nodes.saturating_mul(s).saturating_add(1).saturating_mul(8);
+    offsets.saturating_add(nodes.saturating_mul(stride).saturating_mul(8))
 }
 
 /// Default cap for [`check_storage_cap`]: 8 GiB.
@@ -1429,5 +1431,7 @@ mod tests {
         assert!(msg.contains("MiB"), "names the estimate: {msg}");
         assert!(msg.contains("MMHEW_MEM_CAP_BYTES"), "names the knob: {msg}");
         assert_eq!(err.estimate, estimate_storage_bytes(err.nodes, 64));
+        // 2⁶¹ nodes × 8 channels would wrap a plain product to 8 bytes.
+        assert_eq!(estimate_storage_bytes(1 << 61, 8), u64::MAX);
     }
 }

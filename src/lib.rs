@@ -46,7 +46,6 @@ pub use mmhew_obs as obs;
 pub use mmhew_perfetto as perfetto;
 pub use mmhew_radio as radio;
 pub use mmhew_rivals as rivals;
-pub use mmhew_serve as serve;
 pub use mmhew_spectrum as spectrum;
 pub use mmhew_time as time;
 pub use mmhew_topology as topology;
