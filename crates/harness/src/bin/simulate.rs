@@ -23,8 +23,9 @@
 //! `--protocol <catalog name>` (mutually exclusive with `--algorithm`;
 //! runs any sync entry from `mmhew_rivals::catalog`, e.g. `mc-dis`,
 //! `s-nihao`, `a-nihao`), `--delta-est (Δ)`,
-//! `--epsilon (0.01)`, `--start-window (0)`, `--frame-len (3000)`,
-//! `--drift-den (0 = ideal; 7 means δ=1/7)`, `--reps (5)`, `--seed (1)`,
+//! `--epsilon (0.01)`, `--start-window (0)`, `--frame-len (3000; a
+//! multiple of 3)`, `--drift-den (0 = ideal; 7 means δ=1/7; never 1)`,
+//! `--reps (5)`, `--seed (1)`,
 //! `--budget (4000000)`, `--jobs (0 = auto; worker threads for harness
 //! parallelism — never changes results)`,
 //! `--engine slotted|event (slotted)` — `event` drives slotted algorithms
@@ -43,7 +44,10 @@
 //! before the first repetition, so an unusable path fails at once.
 //!
 //! Errors print as one `simulate: …` line; a flag it cannot accept exits
-//! with status 2, a failed run with status 1.
+//! with status 2, a failed run with status 1. Every flag value is checked
+//! before the network is built, so a value a builder or engine would
+//! panic on, or a network or primary-user count over the storage cap
+//! (see `mmhew_topology::check_storage_cap`), fails by name instead.
 
 use mmhew_discovery::{
     tables_match_ground_truth, AsyncAlgorithm, AsyncParams, Bounds, Engine, Scenario,
@@ -53,9 +57,9 @@ use mmhew_engine::{AsyncRunConfig, AsyncStartSchedule, ClockConfig, StartSchedul
 use mmhew_harness::cli::{Args, CliError};
 use mmhew_obs::{EventSink, FanoutSink, JsonlTraceSink, MetricsSink, TimelineSink};
 use mmhew_perfetto::PerfettoSink;
-use mmhew_spectrum::AvailabilityModel;
+use mmhew_spectrum::{AvailabilityModel, PrimaryUser};
 use mmhew_time::{DriftBound, DriftModel, LocalDuration, RealDuration};
-use mmhew_topology::{Network, NetworkBuilder, StorageCapError};
+use mmhew_topology::{Network, NetworkBuilder};
 use mmhew_util::{SeedTree, Summary};
 
 /// A flag value `simulate` cannot accept, beyond what [`CliError`] names.
@@ -71,44 +75,108 @@ impl std::fmt::Display for FlagError {
 impl std::error::Error for FlagError {}
 
 fn build_network(args: &Args, seed: SeedTree) -> Result<Network, Box<dyn std::error::Error>> {
-    let nodes: usize = args.get_or("nodes", 16)?;
-    let universe: u16 = args.get_or("universe", 8)?;
-    // Reject node counts whose fixed CSR + arena storage would blow the
-    // memory cap *before* any allocation happens, with an error that
-    // names the estimate instead of OOMing mid-build.
-    mmhew_topology::check_storage_cap(nodes as u64, universe)?;
-    let builder = match args.one_of(
+    let universe: u16 = args.get_checked("universe", 8, "positive", |&u| u > 0)?;
+    let topology = args.one_of(
         "topology",
         &["grid", "line", "ring", "star", "complete", "disk", "er"],
-    )? {
+    )?;
+    let (min_nodes, expected) = match topology {
+        "ring" => (3, "at least 3 for a ring"),
+        "star" => (2, "at least 2 for a star"),
+        _ => (0, "any count"),
+    };
+    let nodes: usize = args.get_checked("nodes", 16, expected, |&n| n >= min_nodes)?;
+    let width: usize = args.get_checked("width", 4, "positive", |&w| w > 0)?;
+    let height: usize = args.get_checked("height", 4, "positive", |&h| h > 0)?;
+    // Reject node counts whose fixed CSR + arena storage would blow the
+    // memory cap *before* any allocation happens, with an error that
+    // names the estimate instead of OOMing mid-build. A grid has
+    // width × height nodes, whatever `--nodes` says.
+    let (count, flags) = match topology {
+        "grid" => (width.saturating_mul(height), "--width × --height"),
+        _ => (nodes, "--nodes"),
+    };
+    mmhew_topology::check_storage_cap(count as u64, universe)
+        .map_err(|e| FlagError(format!("{flags}: {e}")))?;
+    let builder = match topology {
         "line" => NetworkBuilder::line(nodes),
         "ring" => NetworkBuilder::ring(nodes),
-        "grid" => NetworkBuilder::grid(args.get_or("width", 4)?, args.get_or("height", 4)?),
+        "grid" => NetworkBuilder::grid(width, height),
         "star" => NetworkBuilder::star(nodes),
         "complete" => NetworkBuilder::complete(nodes),
         "disk" => NetworkBuilder::unit_disk(
             nodes,
-            args.get_or("side", 10.0)?,
-            args.get_or("radius", 3.0)?,
+            args.get_checked("side", 10.0, "positive and finite", |s: &f64| {
+                *s > 0.0 && s.is_finite()
+            })?,
+            args.get_checked("radius", 3.0, "non-negative and finite", |r: &f64| {
+                *r >= 0.0 && r.is_finite()
+            })?,
         ),
-        "er" => NetworkBuilder::erdos_renyi(nodes, args.get_or("edge-prob", 0.3)?),
+        "er" => NetworkBuilder::erdos_renyi(
+            nodes,
+            args.get_checked("edge-prob", 0.3, "in [0, 1]", |p| (0.0..=1.0).contains(p))?,
+        ),
         _ => unreachable!("one_of validated"),
     };
     let availability =
         match args.one_of("availability", &["subset", "full", "overlap", "spatial"])? {
             "full" => AvailabilityModel::Full,
             "subset" => AvailabilityModel::UniformSubset {
-                size: args.get_or("set-size", 4)?,
+                size: args.get_checked("set-size", 4, "in 1..=--universe", |&s| {
+                    s >= 1 && s <= universe
+                })?,
             },
-            "overlap" => AvailabilityModel::PairwiseOverlap {
-                shared: args.get_or("shared", 2)?,
-                private: args.get_or("private", 2)?,
-            },
-            "spatial" => AvailabilityModel::SpatialPrimaryUsers {
-                primaries: args.get_or("primaries", 5)?,
-                radius: args.get_or("pu-radius", 4.0)?,
-                channels_per_primary: args.get_or("pu-channels", 3)?,
-            },
+            "overlap" => {
+                let shared: u16 = args.get_or("shared", 2)?;
+                let private: u16 = args.get_or("private", 2)?;
+                // Every node gets the shared channels plus its own
+                // disjoint private ones, and needs at least one channel.
+                let needed = (private as u64)
+                    .saturating_mul(count as u64)
+                    .saturating_add(shared as u64);
+                if (shared == 0 && private == 0) || needed > universe as u64 {
+                    return Err(FlagError(format!(
+                        "--shared/--private: {shared} shared + {count} × {private} private \
+                         channels must be at least one per node and fit the {universe}-channel \
+                         universe"
+                    ))
+                    .into());
+                }
+                AvailabilityModel::PairwiseOverlap { shared, private }
+            }
+            "spatial" => {
+                let primaries: usize = args.get_or("primaries", 5)?;
+                // The primary users are held in one vector, under the
+                // same cap as the network's own storage.
+                let bytes =
+                    (primaries as u64).saturating_mul(std::mem::size_of::<PrimaryUser>() as u64);
+                let cap = mmhew_topology::storage_cap_bytes();
+                if bytes > cap {
+                    return Err(FlagError(format!(
+                        "--primaries: {primaries} primary users need {} MiB, over the {} MiB \
+                         cap (set MMHEW_MEM_CAP_BYTES to raise it)",
+                        bytes >> 20,
+                        cap >> 20
+                    ))
+                    .into());
+                }
+                AvailabilityModel::SpatialPrimaryUsers {
+                    primaries,
+                    radius: args.get_checked(
+                        "pu-radius",
+                        4.0,
+                        "non-negative and finite",
+                        |r: &f64| *r >= 0.0 && r.is_finite(),
+                    )?,
+                    channels_per_primary: args.get_checked(
+                        "pu-channels",
+                        3,
+                        "at most --universe",
+                        |&c| c <= universe,
+                    )?,
+                }
+            }
             _ => unreachable!("one_of validated"),
         };
     Ok(builder
@@ -120,7 +188,7 @@ fn build_network(args: &Args, seed: SeedTree) -> Result<Network, Box<dyn std::er
 fn main() {
     if let Err(e) = run() {
         eprintln!("simulate: {e}");
-        let flag = e.is::<CliError>() || e.is::<FlagError>() || e.is::<StorageCapError>();
+        let flag = e.is::<CliError>() || e.is::<FlagError>();
         std::process::exit(if flag { 2 } else { 1 });
     }
 }
@@ -164,29 +232,25 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     if let Some(jobs) = args.jobs()? {
         mmhew_harness::set_jobs(jobs);
     }
+    // Every flag is read and checked before the network is built: the
+    // run's flags here, the network's in `build_network`.
     let seed = SeedTree::new(args.get_or("seed", 1)?);
-    let net = build_network(&args, seed.branch("net"))?;
-    let delta = net.max_degree().max(1) as u64;
-    let delta_est: u64 = args.get_or("delta-est", delta)?;
-    let epsilon: f64 = args.get_or("epsilon", 0.01)?;
+    // Δ̂ defaults to the network's true maximum degree, known once built.
+    let delta_est: Option<u64> = args
+        .raw("delta-est")
+        .map(|_| args.get_checked("delta-est", 1, "at least 1", |&d| d >= 1))
+        .transpose()?;
+    let epsilon: f64 = args.get_checked("epsilon", 0.01, "in (0, 1)", |e| *e > 0.0 && *e < 1.0)?;
     let reps: u64 = args.get_or("reps", 5)?;
     let budget: u64 = args.get_or("budget", 4_000_000)?;
-    let bounds = Bounds::from_network(&net, delta_est, epsilon);
-
-    println!(
-        "network: N={} |U|={} links={}  S={} Δ={} ρ={:.3}  connected={}",
-        net.node_count(),
-        net.universe_size(),
-        net.links().len(),
-        net.s_max(),
-        net.max_degree(),
-        net.rho(),
-        if net.topology().is_connected() {
-            "yes"
-        } else {
-            "no"
-        },
-    );
+    let drift_den: u64 =
+        args.get_checked("drift-den", 0, "0 (ideal) or at least 2", |&d| d != 1)?;
+    let frame_len: u64 =
+        args.get_checked("frame-len", 3_000, "a positive multiple of 3", |&l| {
+            l > 0 && l % 3 == 0
+        })?;
+    let start_window: u64 = args.get_or("start-window", 0)?;
+    let timeline_slots: usize = args.get_checked("timeline-slots", 120, "positive", |&t| t > 0)?;
 
     if args.raw("protocol").is_some() && args.raw("algorithm").is_some() {
         return Err(FlagError(
@@ -224,13 +288,46 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         let msg = "--engine event drives the slotted engine only (alg4 is asynchronous)";
         return Err(FlagError(msg.into()).into());
     }
+    // The asynchronous engine keeps real time in u64 nanoseconds: clock
+    // offsets of up to 10 frames plus `budget` frames, each up to twice
+    // its nominal length under the largest admitted drift, must fit.
+    let horizon = budget
+        .saturating_add(10)
+        .checked_mul(frame_len)
+        .and_then(|t| t.checked_mul(2));
+    if algorithm == "alg4" && horizon.is_none() {
+        return Err(FlagError(format!(
+            "--frame-len: {budget} frames (--budget) of {frame_len} ns overflow the \
+             64-bit nanosecond clock"
+        ))
+        .into());
+    }
+
+    let net = build_network(&args, seed.branch("net"))?;
+    let delta_est = delta_est.unwrap_or(net.max_degree().max(1) as u64);
+    let bounds = Bounds::from_network(&net, delta_est, epsilon);
+
+    println!(
+        "network: N={} |U|={} links={}  S={} Δ={} ρ={:.3}  connected={}",
+        net.node_count(),
+        net.universe_size(),
+        net.links().len(),
+        net.s_max(),
+        net.max_degree(),
+        net.rho(),
+        if net.topology().is_connected() {
+            "yes"
+        } else {
+            "no"
+        },
+    );
+
     let mut completions: Vec<f64> = Vec::new();
     let mut ok = true;
 
     let metrics_on = args.flag("metrics");
     let timeline_on = args.flag("timeline");
     let trace_path = args.raw("trace").map(str::to_string);
-    let timeline_slots: usize = args.get_or("timeline-slots", 120)?;
     let mut metrics = metrics_on.then(MetricsSink::new);
     let mut timeline = timeline_on.then(|| TimelineSink::new(timeline_slots));
     let unusable = |flag: &str, p: &str, e| FlagError(format!("--{flag}: cannot create {p}: {e}"));
@@ -250,8 +347,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             "algorithm: Algorithm 4 (async), Δ_est={delta_est}; Thm9 bound = {:.0} frames",
             bounds.theorem9_frames()
         );
-        let drift_den: u64 = args.get_or("drift-den", 0)?;
-        let frame_len: u64 = args.get_or("frame-len", 3_000)?;
         let drift = if drift_den == 0 {
             DriftModel::Ideal
         } else {
@@ -267,7 +362,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                 offset_window: LocalDuration::from_nanos(frame_len * 10),
             })
             .with_starts(AsyncStartSchedule::Staggered {
-                window: RealDuration::from_nanos(args.get_or("start-window", 0)?),
+                window: RealDuration::from_nanos(start_window),
             });
         for rep in 0..reps {
             let alg = AsyncAlgorithm::FrameBased(AsyncParams::new(delta_est)?);
@@ -328,11 +423,9 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                 bounds.theorem3_slots()
             ),
         }
-        let window: u64 = args.get_or("start-window", 0)?;
-        let starts = if window == 0 {
-            StartSchedule::Identical
-        } else {
-            StartSchedule::Staggered { window }
+        let starts = match start_window {
+            0 => StartSchedule::Identical,
+            window => StartSchedule::Staggered { window },
         };
         for rep in 0..reps {
             let rep_seed = seed.branch("run").index(rep);

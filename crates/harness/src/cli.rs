@@ -48,6 +48,24 @@ pub enum CliError {
         /// Allowed values.
         allowed: &'static [&'static str],
     },
+    /// A parsed value outside the range the flag accepts.
+    OutOfRange {
+        /// The flag name.
+        key: String,
+        /// The parsed value.
+        value: String,
+        /// What the flag accepts.
+        expected: &'static str,
+    },
+    /// A flag that takes a value was given without one.
+    MissingValue(String),
+    /// A boolean flag was given a value.
+    UnexpectedValue {
+        /// The flag name.
+        key: String,
+        /// The value it was given.
+        value: String,
+    },
     /// A flag not accepted by this binary (probably a typo) was given.
     UnknownFlag(String),
 }
@@ -65,6 +83,15 @@ impl fmt::Display for CliError {
                 allowed,
             } => {
                 write!(f, "--{key}: unknown value {value:?} (allowed: {allowed:?})")
+            }
+            CliError::OutOfRange {
+                key,
+                value,
+                expected,
+            } => write!(f, "--{key}: {value} is out of range (expected {expected})"),
+            CliError::MissingValue(key) => write!(f, "--{key}: missing value"),
+            CliError::UnexpectedValue { key, value } => {
+                write!(f, "--{key}: takes no value, got {value:?}")
             }
             CliError::UnknownFlag(key) => {
                 write!(f, "--{key}: unknown flag (misspelled?)")
@@ -142,6 +169,32 @@ impl Args {
         }
     }
 
+    /// Typed value with a default when absent, which must satisfy `ok`;
+    /// `expected` says in words what `ok` accepts.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CliError::BadValue`] if present but unparseable, and
+    /// [`CliError::OutOfRange`] if the value fails `ok`.
+    pub fn get_checked<T: FromStr + fmt::Display>(
+        &self,
+        name: &str,
+        default: T,
+        expected: &'static str,
+        ok: impl FnOnce(&T) -> bool,
+    ) -> Result<T, CliError> {
+        let value = self.get_or(name, default)?;
+        if ok(&value) {
+            Ok(value)
+        } else {
+            Err(CliError::OutOfRange {
+                key: name.to_string(),
+                value: value.to_string(),
+                expected,
+            })
+        }
+    }
+
     /// An enum-like value restricted to `allowed` (returns the matched
     /// allowed entry), defaulting to the first entry.
     ///
@@ -203,17 +256,30 @@ impl Args {
     ///
     /// # Errors
     ///
-    /// Returns [`CliError::UnknownFlag`] naming the first offender.
+    /// Names the first offender: [`CliError::UnexpectedValue`] for a
+    /// boolean flag given a value, [`CliError::MissingValue`] for a key
+    /// given without one, and [`CliError::UnknownFlag`] for anything else.
     pub fn expect_only(&self, keys: &[&str], flags: &[&str]) -> Result<(), CliError> {
         const STANDARD_KEYS: &[&str] = &["jobs"];
         const STANDARD_FLAGS: &[&str] = &["quick", "full"];
-        for key in self.values.keys() {
-            if !keys.iter().chain(STANDARD_KEYS).any(|k| k == key) {
+        let is_key = |name: &String| keys.iter().chain(STANDARD_KEYS).any(|k| k == name);
+        let is_flag = |name: &String| flags.iter().chain(STANDARD_FLAGS).any(|f| f == name);
+        for (key, value) in &self.values {
+            if is_flag(key) {
+                return Err(CliError::UnexpectedValue {
+                    key: key.clone(),
+                    value: value.clone(),
+                });
+            }
+            if !is_key(key) {
                 return Err(CliError::UnknownFlag(key.clone()));
             }
         }
         for flag in &self.flags {
-            if !flags.iter().chain(STANDARD_FLAGS).any(|f| f == flag) {
+            if is_key(flag) {
+                return Err(CliError::MissingValue(flag.clone()));
+            }
+            if !is_flag(flag) {
                 return Err(CliError::UnknownFlag(flag.clone()));
             }
         }
@@ -315,5 +381,51 @@ mod tests {
             c.expect_only(&["seed"], &[]),
             Err(CliError::UnknownFlag("sed".into()))
         );
+    }
+
+    #[test]
+    fn missing_and_unexpected_values_are_named() {
+        // A valued key at the end, or followed by another flag, has no value.
+        for args in [&["--only"][..], &["--only", "--markdown"]] {
+            let e = parse(args)
+                .expect_only(&["only"], &["markdown"])
+                .unwrap_err();
+            assert_eq!(e, CliError::MissingValue("only".into()));
+            assert_eq!(e.to_string(), "--only: missing value");
+        }
+        // Boolean flags, the standard ones included, take no value.
+        for (args, key, value) in [
+            (&["--metrics", "5"][..], "metrics", "5"),
+            (&["--full", "3"], "full", "3"),
+        ] {
+            let e = parse(args).expect_only(&[], &["metrics"]).unwrap_err();
+            assert_eq!(
+                e,
+                CliError::UnexpectedValue {
+                    key: key.into(),
+                    value: value.into()
+                }
+            );
+            assert!(e
+                .to_string()
+                .starts_with(&format!("--{key}: takes no value")));
+        }
+    }
+
+    #[test]
+    fn checked_values_name_the_flag_and_the_range() {
+        let a = parse(&["--eps", "2", "--n", "x"]);
+        let e = a
+            .get_checked("eps", 0.5, "in (0, 1)", |e| *e > 0.0 && *e < 1.0)
+            .unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "--eps: 2 is out of range (expected in (0, 1))"
+        );
+        assert!(matches!(
+            a.get_checked("n", 1u32, "positive", |&n| n > 0),
+            Err(CliError::BadValue { .. })
+        ));
+        assert_eq!(a.get_checked("m", 4u32, "positive", |&n| n > 0), Ok(4));
     }
 }

@@ -1,8 +1,8 @@
 //! Shared measurement helpers for the experiment suite.
 
 use crate::sweep::parallel_reps;
-use mmhew_discovery::{AsyncAlgorithm, Scenario, SyncAlgorithm};
-use mmhew_engine::{AsyncRunConfig, EnergyModel, FaultPlan, StartSchedule, SyncRunConfig};
+use mmhew_discovery::{AsyncAlgorithm, Scenario, SyncScenario};
+use mmhew_engine::{AsyncRunConfig, EnergyModel, FaultPlan, SyncRunConfig};
 use mmhew_rivals::ProtocolKind;
 use mmhew_topology::Network;
 use mmhew_util::{SeedTree, Summary};
@@ -34,81 +34,17 @@ impl SyncMeasurement {
     }
 }
 
-/// Runs `reps` seeded repetitions of a synchronous discovery and collects
-/// completion times (slots after the latest start).
-pub fn measure_sync(
-    network: &Network,
-    algorithm: SyncAlgorithm,
-    starts: &StartSchedule,
-    config: SyncRunConfig,
+/// Runs `reps` seeded repetitions of the synchronous scenario that
+/// `scenario` builds — with whatever start schedule, fault plan or
+/// wrapper it configures — and collects completion times (slots after
+/// the latest start).
+pub fn measure_sync<'n>(
     reps: u64,
     seed: SeedTree,
+    scenario: impl Fn() -> SyncScenario<'n> + Sync,
 ) -> SyncMeasurement {
     let outcomes = parallel_reps(reps, seed, |_rep, rep_seed| {
-        Scenario::sync(network, algorithm)
-            .starts(starts.clone())
-            .config(config)
-            .run(rep_seed)
-            .expect("protocol construction failed")
-            .slots_to_complete()
-    });
-    let slots: Vec<f64> = outcomes.iter().flatten().map(|&s| s as f64).collect();
-    let failures = outcomes.iter().filter(|o| o.is_none()).count() as u64;
-    SyncMeasurement {
-        slots,
-        failures,
-        reps,
-    }
-}
-
-/// Like [`measure_sync`], but every repetition runs under a clone of the
-/// given [`FaultPlan`].
-pub fn measure_sync_faulted(
-    network: &Network,
-    algorithm: SyncAlgorithm,
-    starts: &StartSchedule,
-    faults: &FaultPlan,
-    config: SyncRunConfig,
-    reps: u64,
-    seed: SeedTree,
-) -> SyncMeasurement {
-    let outcomes = parallel_reps(reps, seed, |_rep, rep_seed| {
-        Scenario::sync(network, algorithm)
-            .starts(starts.clone())
-            .with_faults(faults.clone())
-            .config(config)
-            .run(rep_seed)
-            .expect("protocol construction failed")
-            .slots_to_complete()
-    });
-    let slots: Vec<f64> = outcomes.iter().flatten().map(|&s| s as f64).collect();
-    let failures = outcomes.iter().filter(|o| o.is_none()).count() as u64;
-    SyncMeasurement {
-        slots,
-        failures,
-        reps,
-    }
-}
-
-/// Like [`measure_sync_faulted`], but wraps every node in a
-/// [`mmhew_discovery::RobustDiscovery`] with the given repetition factor.
-#[allow(clippy::too_many_arguments)]
-pub fn measure_sync_robust(
-    network: &Network,
-    algorithm: SyncAlgorithm,
-    repetition: u64,
-    starts: &StartSchedule,
-    faults: &FaultPlan,
-    config: SyncRunConfig,
-    reps: u64,
-    seed: SeedTree,
-) -> SyncMeasurement {
-    let outcomes = parallel_reps(reps, seed, |_rep, rep_seed| {
-        Scenario::sync(network, algorithm)
-            .robust(repetition)
-            .starts(starts.clone())
-            .with_faults(faults.clone())
-            .config(config)
+        scenario()
             .run(rep_seed)
             .expect("protocol construction failed")
             .slots_to_complete()
@@ -271,7 +207,7 @@ pub fn measure_async(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mmhew_discovery::SyncParams;
+    use mmhew_discovery::{SyncAlgorithm, SyncParams};
     use mmhew_topology::NetworkBuilder;
 
     #[test]
@@ -280,14 +216,10 @@ mod tests {
             .universe(2)
             .build(SeedTree::new(0))
             .expect("build");
-        let m = measure_sync(
-            &net,
-            SyncAlgorithm::Staged(SyncParams::new(2).expect("valid")),
-            &StartSchedule::Identical,
-            SyncRunConfig::until_complete(100_000),
-            6,
-            SeedTree::new(1),
-        );
+        let alg = SyncAlgorithm::Staged(SyncParams::new(2).expect("valid"));
+        let m = measure_sync(6, SeedTree::new(1), || {
+            Scenario::sync(&net, alg).config(SyncRunConfig::until_complete(100_000))
+        });
         assert_eq!(m.reps, 6);
         assert_eq!(m.failures, 0);
         assert_eq!(m.slots.len(), 6);
@@ -301,14 +233,10 @@ mod tests {
             .universe(4)
             .build(SeedTree::new(0))
             .expect("build");
-        let m = measure_sync(
-            &net,
-            SyncAlgorithm::Staged(SyncParams::new(4).expect("valid")),
-            &StartSchedule::Identical,
-            SyncRunConfig::until_complete(2), // absurdly small
-            5,
-            SeedTree::new(2),
-        );
+        let alg = SyncAlgorithm::Staged(SyncParams::new(4).expect("valid"));
+        let m = measure_sync(5, SeedTree::new(2), || {
+            Scenario::sync(&net, alg).config(SyncRunConfig::until_complete(2)) // absurdly small
+        });
         assert!(m.failures > 0);
         assert!(m.failure_rate() > 0.0);
     }

@@ -10,8 +10,8 @@
 use crate::experiment::{Effort, ExperimentReport};
 use crate::experiments::common::measure_sync;
 use crate::table::{fmt_f64, Table};
-use mmhew_discovery::{SyncAlgorithm, SyncParams};
-use mmhew_engine::{StartSchedule, SyncRunConfig};
+use mmhew_discovery::{Scenario, SyncAlgorithm, SyncParams};
+use mmhew_engine::SyncRunConfig;
 use mmhew_spectrum::{AvailabilityModel, ChannelSet};
 use mmhew_topology::NetworkBuilder;
 use mmhew_util::SeedTree;
@@ -45,24 +45,22 @@ pub fn run(effort: Effort, master_seed: u64) -> ExperimentReport {
             .build(seed.branch("net").index(u as u64))
             .expect("explicit sets fit the universe");
         let delta = net.max_degree().max(1) as u64;
-        let ours = measure_sync(
-            &net,
-            SyncAlgorithm::Uniform(SyncParams::new(delta).expect("positive")),
-            &StartSchedule::Identical,
-            SyncRunConfig::until_complete(500_000),
-            reps,
-            seed.branch("ours").index(u as u64),
-        );
-        let baseline = measure_sync(
-            &net,
-            SyncAlgorithm::PerChannelBirthday {
-                tx_probability: 0.5,
-            },
-            &StartSchedule::Identical,
-            SyncRunConfig::until_complete(500_000),
-            reps,
-            seed.branch("baseline").index(u as u64),
-        );
+        let ours = measure_sync(reps, seed.branch("ours").index(u as u64), || {
+            Scenario::sync(
+                &net,
+                SyncAlgorithm::Uniform(SyncParams::new(delta).expect("positive")),
+            )
+            .config(SyncRunConfig::until_complete(500_000))
+        });
+        let baseline = measure_sync(reps, seed.branch("baseline").index(u as u64), || {
+            Scenario::sync(
+                &net,
+                SyncAlgorithm::PerChannelBirthday {
+                    tx_probability: 0.5,
+                },
+            )
+            .config(SyncRunConfig::until_complete(500_000))
+        });
         let ours_mean = ours.summary().mean;
         let base_mean = baseline.summary().mean;
         ratios.push(base_mean / ours_mean.max(1e-9));

@@ -8,8 +8,8 @@
 use crate::experiment::{Effort, ExperimentReport};
 use crate::experiments::common::measure_sync;
 use crate::table::{fmt_f64, Table};
-use mmhew_discovery::{SyncAlgorithm, SyncParams};
-use mmhew_engine::{StartSchedule, SyncRunConfig};
+use mmhew_discovery::{Scenario, SyncAlgorithm, SyncParams};
+use mmhew_engine::SyncRunConfig;
 use mmhew_radio::Impairments;
 use mmhew_topology::NetworkBuilder;
 use mmhew_util::SeedTree;
@@ -42,15 +42,16 @@ pub fn run(effort: Effort, master_seed: u64) -> ExperimentReport {
     );
     let mut normalized = Vec::new();
     for (i, &q) in qs.iter().enumerate() {
-        let m = measure_sync(
-            &net,
-            SyncAlgorithm::Uniform(SyncParams::new(delta).expect("positive")),
-            &StartSchedule::Identical,
-            SyncRunConfig::until_complete(2_000_000)
-                .with_impairments(Impairments::with_delivery_probability(q)),
-            reps,
-            seed.branch("run").index(i as u64),
-        );
+        let m = measure_sync(reps, seed.branch("run").index(i as u64), || {
+            Scenario::sync(
+                &net,
+                SyncAlgorithm::Uniform(SyncParams::new(delta).expect("positive")),
+            )
+            .config(
+                SyncRunConfig::until_complete(2_000_000)
+                    .with_impairments(Impairments::with_delivery_probability(q)),
+            )
+        });
         let s = m.summary();
         normalized.push(s.mean * q);
         table.push_row(vec![

@@ -13,8 +13,8 @@
 use crate::experiment::{Effort, ExperimentReport};
 use crate::experiments::common::measure_sync;
 use crate::table::{fmt_f64, Table};
-use mmhew_discovery::SyncAlgorithm;
-use mmhew_engine::{StartSchedule, SyncRunConfig};
+use mmhew_discovery::{Scenario, SyncAlgorithm};
+use mmhew_engine::SyncRunConfig;
 use mmhew_topology::{Network, NetworkBuilder};
 use mmhew_util::SeedTree;
 
@@ -71,12 +71,9 @@ pub fn run(effort: Effort, master_seed: u64) -> ExperimentReport {
         let mut paper_mean = None;
         for (si, (strat_name, alg)) in strategies.iter().enumerate() {
             let m = measure_sync(
-                net,
-                *alg,
-                &StartSchedule::Identical,
-                SyncRunConfig::until_complete(3_000_000),
                 reps,
                 seed.branch("run").index(ni as u64).index(si as u64),
+                || Scenario::sync(net, *alg).config(SyncRunConfig::until_complete(3_000_000)),
             );
             let mean = m.summary().mean;
             let baseline = *paper_mean.get_or_insert(mean);

@@ -10,8 +10,8 @@ use crate::experiment::{Effort, ExperimentReport};
 use crate::experiments::common::measure_sync;
 use crate::plot::AsciiPlot;
 use crate::table::{fmt_f64, Table};
-use mmhew_discovery::{Bounds, SyncAlgorithm, SyncParams};
-use mmhew_engine::{StartSchedule, SyncRunConfig};
+use mmhew_discovery::{Bounds, Scenario, SyncAlgorithm, SyncParams};
+use mmhew_engine::SyncRunConfig;
 use mmhew_topology::NetworkBuilder;
 use mmhew_util::SeedTree;
 
@@ -46,14 +46,15 @@ pub fn run(effort: Effort, master_seed: u64) -> ExperimentReport {
             .build(seed.branch("net").index(n as u64))
             .expect("ring networks are always valid");
         let bounds = Bounds::from_network(&net, DELTA_EST, EPSILON);
-        let m = measure_sync(
-            &net,
-            SyncAlgorithm::Staged(SyncParams::new(DELTA_EST).expect("positive")),
-            &StartSchedule::Identical,
-            SyncRunConfig::until_complete(bounds.theorem1_slots().ceil() as u64 * 4),
-            reps,
-            seed.branch("run").index(n as u64),
-        );
+        let m = measure_sync(reps, seed.branch("run").index(n as u64), || {
+            Scenario::sync(
+                &net,
+                SyncAlgorithm::Staged(SyncParams::new(DELTA_EST).expect("positive")),
+            )
+            .config(SyncRunConfig::until_complete(
+                bounds.theorem1_slots().ceil() as u64 * 4,
+            ))
+        });
         let s = m.summary();
         let norm = s.mean / bounds.ln_n2_over_eps();
         normalized.push(norm);

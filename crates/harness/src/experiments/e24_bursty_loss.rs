@@ -9,10 +9,10 @@
 //! grows.
 
 use crate::experiment::{Effort, ExperimentReport};
-use crate::experiments::common::{measure_sync, measure_sync_faulted};
+use crate::experiments::common::measure_sync;
 use crate::table::{fmt_f64, Table};
-use mmhew_discovery::{SyncAlgorithm, SyncParams};
-use mmhew_engine::{FaultPlan, StartSchedule, SyncRunConfig};
+use mmhew_discovery::{Scenario, SyncAlgorithm, SyncParams};
+use mmhew_engine::{FaultPlan, SyncRunConfig};
 use mmhew_faults::{GilbertElliott, LinkLossModel};
 use mmhew_topology::NetworkBuilder;
 use mmhew_util::SeedTree;
@@ -47,17 +47,15 @@ pub fn run(effort: Effort, master_seed: u64) -> ExperimentReport {
         .to_vec(),
     );
 
-    let bernoulli = measure_sync_faulted(
-        &net,
-        alg,
-        &StartSchedule::Identical,
-        &FaultPlan::new().with_default_loss(LinkLossModel::Bernoulli {
-            delivery_probability: 1.0 - LOSS,
-        }),
-        config,
-        reps,
-        seed.branch("bernoulli"),
-    );
+    let bernoulli = measure_sync(reps, seed.branch("bernoulli"), || {
+        Scenario::sync(&net, alg)
+            .with_faults(
+                FaultPlan::new().with_default_loss(LinkLossModel::Bernoulli {
+                    delivery_probability: 1.0 - LOSS,
+                }),
+            )
+            .config(config)
+    });
     let base = bernoulli.summary();
     table.push_row(vec![
         format!("bernoulli L={LOSS}"),
@@ -68,17 +66,15 @@ pub fn run(effort: Effort, master_seed: u64) -> ExperimentReport {
     ]);
 
     for (i, &burst) in burst_lens.iter().enumerate() {
-        let m = measure_sync_faulted(
-            &net,
-            alg,
-            &StartSchedule::Identical,
-            &FaultPlan::new().with_default_loss(LinkLossModel::GilbertElliott(
-                GilbertElliott::bursty(LOSS, burst),
-            )),
-            config,
-            reps,
-            seed.branch("ge").index(i as u64),
-        );
+        let m = measure_sync(reps, seed.branch("ge").index(i as u64), || {
+            Scenario::sync(&net, alg)
+                .with_faults(
+                    FaultPlan::new().with_default_loss(LinkLossModel::GilbertElliott(
+                        GilbertElliott::bursty(LOSS, burst),
+                    )),
+                )
+                .config(config)
+        });
         let s = m.summary();
         table.push_row(vec![
             format!("gilbert-elliott L={LOSS} burst={burst}"),
@@ -91,14 +87,9 @@ pub fn run(effort: Effort, master_seed: u64) -> ExperimentReport {
 
     // Sanity anchor: a fault-free run, for calibrating the 1/(1-L) cost of
     // the Bernoulli row itself.
-    let clean = measure_sync(
-        &net,
-        alg,
-        &StartSchedule::Identical,
-        config,
-        reps,
-        seed.branch("clean"),
-    );
+    let clean = measure_sync(reps, seed.branch("clean"), || {
+        Scenario::sync(&net, alg).config(config)
+    });
 
     let mut report = ExperimentReport::new(
         "E24",

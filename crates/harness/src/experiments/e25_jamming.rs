@@ -8,10 +8,10 @@
 //! time should grow as the jammed fraction rises, without failures.
 
 use crate::experiment::{Effort, ExperimentReport};
-use crate::experiments::common::measure_sync_faulted;
+use crate::experiments::common::measure_sync;
 use crate::table::{fmt_f64, Table};
-use mmhew_discovery::{SyncAlgorithm, SyncParams};
-use mmhew_engine::{FaultPlan, StartSchedule, SyncRunConfig};
+use mmhew_discovery::{Scenario, SyncAlgorithm, SyncParams};
+use mmhew_engine::{FaultPlan, SyncRunConfig};
 use mmhew_faults::JamSchedule;
 use mmhew_spectrum::ChannelSet;
 use mmhew_topology::NetworkBuilder;
@@ -53,15 +53,11 @@ pub fn run(effort: Effort, master_seed: u64) -> ExperimentReport {
         } else {
             FaultPlan::new().with_jamming(JamSchedule::fixed(jammed))
         };
-        let m = measure_sync_faulted(
-            &net,
-            alg,
-            &StartSchedule::Identical,
-            &plan,
-            config,
-            reps,
-            seed.branch("run").index(i as u64),
-        );
+        let m = measure_sync(reps, seed.branch("run").index(i as u64), || {
+            Scenario::sync(&net, alg)
+                .with_faults(plan.clone())
+                .config(config)
+        });
         let s = m.summary();
         means.push(s.mean);
         table.push_row(vec![

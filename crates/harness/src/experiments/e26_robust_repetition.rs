@@ -11,10 +11,10 @@
 //!    completes with failure rate ≤ ε again.
 
 use crate::experiment::{Effort, ExperimentReport};
-use crate::experiments::common::{measure_sync, measure_sync_faulted, measure_sync_robust};
+use crate::experiments::common::measure_sync;
 use crate::table::{fmt_f64, Table};
-use mmhew_discovery::{repetition_factor, SyncAlgorithm, SyncParams};
-use mmhew_engine::{FaultPlan, StartSchedule, SyncRunConfig};
+use mmhew_discovery::{repetition_factor, Scenario, SyncAlgorithm, SyncParams};
+use mmhew_engine::{FaultPlan, SyncRunConfig};
 use mmhew_faults::LinkLossModel;
 use mmhew_topology::NetworkBuilder;
 use mmhew_util::SeedTree;
@@ -40,14 +40,9 @@ pub fn run(effort: Effort, master_seed: u64) -> ExperimentReport {
     });
 
     // Calibrate: a budget the clean channel meets with slack.
-    let clean = measure_sync(
-        &net,
-        alg,
-        &StartSchedule::Identical,
-        SyncRunConfig::until_complete(2_000_000),
-        reps,
-        seed.branch("calibrate"),
-    );
+    let clean = measure_sync(reps, seed.branch("calibrate"), || {
+        Scenario::sync(&net, alg).config(SyncRunConfig::until_complete(2_000_000))
+    });
     let budget = (2.0 * clean.summary().mean).ceil().max(1.0) as u64;
     let r = repetition_factor(net.node_count(), EPSILON, P_LOSS);
 
@@ -73,27 +68,19 @@ pub fn run(effort: Effort, master_seed: u64) -> ExperimentReport {
     };
     push("clean channel (calibration)", 2_000_000, &clean);
 
-    let unwrapped = measure_sync_faulted(
-        &net,
-        alg,
-        &StartSchedule::Identical,
-        &plan,
-        SyncRunConfig::until_complete(budget),
-        reps,
-        seed.branch("unwrapped"),
-    );
+    let unwrapped = measure_sync(reps, seed.branch("unwrapped"), || {
+        Scenario::sync(&net, alg)
+            .with_faults(plan.clone())
+            .config(SyncRunConfig::until_complete(budget))
+    });
     push("unwrapped, p_loss=0.75", budget, &unwrapped);
 
-    let robust = measure_sync_robust(
-        &net,
-        alg,
-        r,
-        &StartSchedule::Identical,
-        &plan,
-        SyncRunConfig::until_complete(r * budget),
-        reps,
-        seed.branch("robust"),
-    );
+    let robust = measure_sync(reps, seed.branch("robust"), || {
+        Scenario::sync(&net, alg)
+            .robust(r)
+            .with_faults(plan.clone())
+            .config(SyncRunConfig::until_complete(r * budget))
+    });
     push(&format!("robust r={r}, p_loss=0.75"), r * budget, &robust);
 
     let mut report = ExperimentReport::new(

@@ -10,8 +10,8 @@
 use crate::experiment::{Effort, ExperimentReport};
 use crate::experiments::common::measure_sync;
 use crate::table::{fmt_f64, Table};
-use mmhew_discovery::{Bounds, SyncAlgorithm, SyncParams};
-use mmhew_engine::{StartSchedule, SyncRunConfig};
+use mmhew_discovery::{Bounds, Scenario, SyncAlgorithm, SyncParams};
+use mmhew_engine::SyncRunConfig;
 use mmhew_topology::NetworkBuilder;
 use mmhew_util::SeedTree;
 
@@ -46,14 +46,11 @@ pub fn run(effort: Effort, master_seed: u64) -> ExperimentReport {
     for &dest in estimates {
         let params = SyncParams::new(dest).expect("positive");
         let bounds = Bounds::from_network(&net, dest, EPSILON);
-        let m = measure_sync(
-            &net,
-            SyncAlgorithm::Staged(params),
-            &StartSchedule::Identical,
-            SyncRunConfig::until_complete(bounds.theorem1_slots().ceil() as u64 * 4),
-            reps,
-            seed.branch("run").index(dest),
-        );
+        let m = measure_sync(reps, seed.branch("run").index(dest), || {
+            Scenario::sync(&net, SyncAlgorithm::Staged(params)).config(
+                SyncRunConfig::until_complete(bounds.theorem1_slots().ceil() as u64 * 4),
+            )
+        });
         let s = m.summary();
         let norm = s.mean / params.stage_len() as f64;
         normalized.push(norm);

@@ -11,8 +11,8 @@
 use crate::experiment::{Effort, ExperimentReport};
 use crate::experiments::common::measure_sync;
 use crate::table::{fmt_f64, Table};
-use mmhew_discovery::{Bounds, SyncAlgorithm, SyncParams};
-use mmhew_engine::{StartSchedule, SyncRunConfig};
+use mmhew_discovery::{Bounds, Scenario, SyncAlgorithm, SyncParams};
+use mmhew_engine::SyncRunConfig;
 use mmhew_topology::{Network, NetworkBuilder};
 use mmhew_util::SeedTree;
 
@@ -20,14 +20,15 @@ const EPSILON: f64 = 0.01;
 
 fn measure(net: &Network, delta_est: u64, reps: u64, seed: SeedTree) -> (f64, f64, f64) {
     let bounds = Bounds::from_network(net, delta_est, EPSILON);
-    let m = measure_sync(
-        net,
-        SyncAlgorithm::Staged(SyncParams::new(delta_est).expect("positive")),
-        &StartSchedule::Identical,
-        SyncRunConfig::until_complete(bounds.theorem1_slots().ceil() as u64 * 4),
-        reps,
-        seed,
-    );
+    let m = measure_sync(reps, seed, || {
+        Scenario::sync(
+            net,
+            SyncAlgorithm::Staged(SyncParams::new(delta_est).expect("positive")),
+        )
+        .config(SyncRunConfig::until_complete(
+            bounds.theorem1_slots().ceil() as u64 * 4,
+        ))
+    });
     let s = m.summary();
     (s.mean, s.ci95_halfwidth(), bounds.theorem1_slots())
 }

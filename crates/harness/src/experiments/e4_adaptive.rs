@@ -10,8 +10,8 @@
 use crate::experiment::{Effort, ExperimentReport};
 use crate::experiments::common::measure_sync;
 use crate::table::{fmt_f64, Table};
-use mmhew_discovery::{Bounds, SyncAlgorithm, SyncParams};
-use mmhew_engine::{StartSchedule, SyncRunConfig};
+use mmhew_discovery::{Bounds, Scenario, SyncAlgorithm, SyncParams};
+use mmhew_engine::SyncRunConfig;
 use mmhew_topology::{Network, NetworkBuilder};
 use mmhew_util::SeedTree;
 
@@ -70,22 +70,17 @@ pub fn run(effort: Effort, master_seed: u64) -> ExperimentReport {
         let delta = net.max_degree().max(1) as u64;
         let bounds = Bounds::from_network(net, delta, EPSILON);
         let budget = (bounds.theorem2_slots().ceil() as u64 * 4).max(10_000);
-        let informed = measure_sync(
-            net,
-            SyncAlgorithm::Staged(SyncParams::new(delta).expect("positive")),
-            &StartSchedule::Identical,
-            SyncRunConfig::until_complete(budget),
-            reps,
-            seed.branch("alg1").branch(name),
-        );
-        let adaptive = measure_sync(
-            net,
-            SyncAlgorithm::Adaptive,
-            &StartSchedule::Identical,
-            SyncRunConfig::until_complete(budget),
-            reps,
-            seed.branch("alg2").branch(name),
-        );
+        let informed = measure_sync(reps, seed.branch("alg1").branch(name), || {
+            Scenario::sync(
+                net,
+                SyncAlgorithm::Staged(SyncParams::new(delta).expect("positive")),
+            )
+            .config(SyncRunConfig::until_complete(budget))
+        });
+        let adaptive = measure_sync(reps, seed.branch("alg2").branch(name), || {
+            Scenario::sync(net, SyncAlgorithm::Adaptive)
+                .config(SyncRunConfig::until_complete(budget))
+        });
         let a1 = informed.summary().mean;
         let a2 = adaptive.summary().mean;
         table.push_row(vec![

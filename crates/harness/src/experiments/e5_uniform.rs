@@ -13,8 +13,8 @@
 use crate::experiment::{Effort, ExperimentReport};
 use crate::experiments::common::measure_sync;
 use crate::table::{fmt_f64, Table};
-use mmhew_discovery::{Bounds, SyncAlgorithm, SyncParams};
-use mmhew_engine::{StartSchedule, SyncRunConfig};
+use mmhew_discovery::{Bounds, Scenario, SyncAlgorithm, SyncParams};
+use mmhew_engine::SyncRunConfig;
 use mmhew_topology::NetworkBuilder;
 use mmhew_util::SeedTree;
 
@@ -51,22 +51,14 @@ pub fn run(effort: Effort, master_seed: u64) -> ExperimentReport {
         let bounds = Bounds::from_network(&net, dest, EPSILON);
         let budget =
             ((bounds.theorem1_slots() + bounds.theorem3_slots()).ceil() as u64 * 4).max(10_000);
-        let staged = measure_sync(
-            &net,
-            SyncAlgorithm::Staged(params),
-            &StartSchedule::Identical,
-            SyncRunConfig::until_complete(budget),
-            reps,
-            seed.branch("alg1").index(dest),
-        );
-        let uniform = measure_sync(
-            &net,
-            SyncAlgorithm::Uniform(params),
-            &StartSchedule::Identical,
-            SyncRunConfig::until_complete(budget),
-            reps,
-            seed.branch("alg3").index(dest),
-        );
+        let staged = measure_sync(reps, seed.branch("alg1").index(dest), || {
+            Scenario::sync(&net, SyncAlgorithm::Staged(params))
+                .config(SyncRunConfig::until_complete(budget))
+        });
+        let uniform = measure_sync(reps, seed.branch("alg3").index(dest), || {
+            Scenario::sync(&net, SyncAlgorithm::Uniform(params))
+                .config(SyncRunConfig::until_complete(budget))
+        });
         let a1 = staged.summary().mean;
         let a3 = uniform.summary().mean;
         ratios.push(a3 / a1.max(1e-9));

@@ -10,7 +10,7 @@
 use crate::experiment::{Effort, ExperimentReport};
 use crate::experiments::common::measure_sync;
 use crate::table::{fmt_f64, Table};
-use mmhew_discovery::{Bounds, SyncAlgorithm, SyncParams};
+use mmhew_discovery::{Bounds, Scenario, SyncAlgorithm, SyncParams};
 use mmhew_engine::{StartSchedule, SyncRunConfig};
 use mmhew_spectrum::AvailabilityModel;
 use mmhew_topology::NetworkBuilder;
@@ -51,22 +51,22 @@ pub fn run(effort: Effort, master_seed: u64) -> ExperimentReport {
         } else {
             StartSchedule::Staggered { window: w }
         };
-        let uniform = measure_sync(
-            &net,
-            SyncAlgorithm::Uniform(SyncParams::new(delta).expect("positive")),
-            &starts,
-            SyncRunConfig::until_complete(w + budget_tail),
-            reps,
-            seed.branch("alg3").index(w),
-        );
-        let staged = measure_sync(
-            &net,
-            SyncAlgorithm::Staged(SyncParams::new(delta).expect("positive")),
-            &starts,
-            SyncRunConfig::until_complete(w + budget_tail),
-            reps,
-            seed.branch("alg1").index(w),
-        );
+        let uniform = measure_sync(reps, seed.branch("alg3").index(w), || {
+            Scenario::sync(
+                &net,
+                SyncAlgorithm::Uniform(SyncParams::new(delta).expect("positive")),
+            )
+            .starts(starts.clone())
+            .config(SyncRunConfig::until_complete(w + budget_tail))
+        });
+        let staged = measure_sync(reps, seed.branch("alg1").index(w), || {
+            Scenario::sync(
+                &net,
+                SyncAlgorithm::Staged(SyncParams::new(delta).expect("positive")),
+            )
+            .starts(starts.clone())
+            .config(SyncRunConfig::until_complete(w + budget_tail))
+        });
         let s3 = uniform.summary();
         alg3_means.push(s3.mean);
         table.push_row(vec![

@@ -9,8 +9,8 @@
 use crate::experiment::{Effort, ExperimentReport};
 use crate::experiments::common::measure_sync;
 use crate::table::{fmt_f64, Table};
-use mmhew_discovery::{Bounds, SyncAlgorithm, SyncParams};
-use mmhew_engine::{StartSchedule, SyncRunConfig};
+use mmhew_discovery::{Bounds, Scenario, SyncAlgorithm, SyncParams};
+use mmhew_engine::SyncRunConfig;
 use mmhew_spectrum::AvailabilityModel;
 use mmhew_topology::NetworkBuilder;
 use mmhew_util::SeedTree;
@@ -48,14 +48,15 @@ pub fn run(effort: Effort, master_seed: u64) -> ExperimentReport {
             .expect("overlap model fits the universe");
         let delta = net.max_degree().max(1) as u64;
         let bounds = Bounds::from_network(&net, delta, EPSILON);
-        let m = measure_sync(
-            &net,
-            SyncAlgorithm::Staged(SyncParams::new(delta).expect("positive")),
-            &StartSchedule::Identical,
-            SyncRunConfig::until_complete(bounds.theorem1_slots().ceil() as u64 * 4),
-            reps,
-            seed.branch("run").index(shared as u64),
-        );
+        let m = measure_sync(reps, seed.branch("run").index(shared as u64), || {
+            Scenario::sync(
+                &net,
+                SyncAlgorithm::Staged(SyncParams::new(delta).expect("positive")),
+            )
+            .config(SyncRunConfig::until_complete(
+                bounds.theorem1_slots().ceil() as u64 * 4,
+            ))
+        });
         let s = m.summary();
         normalized.push(s.mean * net.rho());
         table.push_row(vec![

@@ -10,8 +10,8 @@
 use crate::experiment::{Effort, ExperimentReport};
 use crate::experiments::common::measure_sync;
 use crate::table::{fmt_f64, Table};
-use mmhew_discovery::{Bounds, SyncAlgorithm, SyncParams};
-use mmhew_engine::{StartSchedule, SyncRunConfig};
+use mmhew_discovery::{Bounds, Scenario, SyncAlgorithm, SyncParams};
+use mmhew_engine::SyncRunConfig;
 use mmhew_topology::NetworkBuilder;
 use mmhew_util::SeedTree;
 
@@ -44,14 +44,13 @@ pub fn run(effort: Effort, master_seed: u64) -> ExperimentReport {
     for (k, &eps) in epsilons.iter().enumerate() {
         let bounds = Bounds::from_network(&net, DELTA_EST, eps);
         let budget = bounds.theorem1_slots().ceil() as u64;
-        let m = measure_sync(
-            &net,
-            SyncAlgorithm::Staged(SyncParams::new(DELTA_EST).expect("positive")),
-            &StartSchedule::Identical,
-            SyncRunConfig::until_complete(budget),
-            reps,
-            seed.branch("run").index(k as u64),
-        );
+        let m = measure_sync(reps, seed.branch("run").index(k as u64), || {
+            Scenario::sync(
+                &net,
+                SyncAlgorithm::Staged(SyncParams::new(DELTA_EST).expect("positive")),
+            )
+            .config(SyncRunConfig::until_complete(budget))
+        });
         if m.failure_rate() > eps {
             ok = false;
         }

@@ -114,6 +114,119 @@ fn simulate_rejects_bad_flags() {
     );
 }
 
+/// Every flag value a builder or engine would panic on, or that would
+/// allocate past the storage cap, exits 2 with a message naming the flag,
+/// before any network is built.
+#[test]
+fn bad_flag_values_fail_by_name() {
+    let simulate = env!("CARGO_BIN_EXE_simulate");
+    let run_all = env!("CARGO_BIN_EXE_run_all");
+    let cases: &[(&str, &str, &[&str])] = &[
+        (
+            simulate,
+            "--frame-len",
+            &["--algorithm", "alg4", "--frame-len", "1000"],
+        ),
+        (
+            simulate,
+            "--frame-len",
+            &["--algorithm", "alg4", "--frame-len", "0"],
+        ),
+        (
+            simulate,
+            "--frame-len",
+            &["--algorithm", "alg4", "--frame-len", "3000000000000000000"],
+        ),
+        (
+            simulate,
+            "--drift-den",
+            &["--algorithm", "alg4", "--drift-den", "1"],
+        ),
+        (simulate, "--width", &["--width", "0"]),
+        (simulate, "--height", &["--height", "0"]),
+        (simulate, "--nodes", &["--topology", "star", "--nodes", "1"]),
+        (simulate, "--nodes", &["--topology", "ring", "--nodes", "2"]),
+        (
+            simulate,
+            "--edge-prob",
+            &["--topology", "er", "--edge-prob", "2"],
+        ),
+        (
+            simulate,
+            "--edge-prob",
+            &["--topology", "er", "--edge-prob", "NaN"],
+        ),
+        (
+            simulate,
+            "--radius",
+            &["--topology", "disk", "--radius", "-1"],
+        ),
+        (simulate, "--side", &["--topology", "disk", "--side", "0"]),
+        (
+            simulate,
+            "--pu-radius",
+            &["--availability", "spatial", "--pu-radius", "-1"],
+        ),
+        (
+            simulate,
+            "--pu-radius",
+            &["--availability", "spatial", "--pu-radius", "NaN"],
+        ),
+        (simulate, "--epsilon", &["--epsilon", "0"]),
+        (simulate, "--epsilon", &["--epsilon", "2"]),
+        (
+            simulate,
+            "--width × --height",
+            &["--width", "100000", "--height", "100000"],
+        ),
+        (
+            simulate,
+            "--primaries",
+            &["--availability", "spatial", "--primaries", "4000000000"],
+        ),
+        (simulate, "--delta-est", &["--delta-est", "0"]),
+        (simulate, "--universe", &["--universe", "0"]),
+        (simulate, "--set-size", &["--set-size", "0"]),
+        (simulate, "--set-size", &["--set-size", "9"]),
+        (
+            simulate,
+            "--shared/--private",
+            &["--availability", "overlap", "--shared", "65535"],
+        ),
+        (
+            simulate,
+            "--pu-channels",
+            &["--availability", "spatial", "--pu-channels", "9"],
+        ),
+        (
+            simulate,
+            "--timeline-slots",
+            &["--timeline", "--timeline-slots", "0"],
+        ),
+        (simulate, "--trace", &["--trace"]),
+        (simulate, "--metrics", &["--metrics", "5"]),
+        (run_all, "--only", &["--only"]),
+        (run_all, "--full", &["--full", "3"]),
+    ];
+    for (bin, flag, args) in cases {
+        let out = Command::new(bin)
+            .args(*args)
+            .output()
+            .unwrap_or_else(|e| panic!("failed to spawn {bin}: {e}"));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(flag), "{args:?} must name {flag}: {stderr}");
+        assert!(
+            !stderr.contains("panicked") && !stderr.contains("memory allocation"),
+            "{args:?}: {stderr}"
+        );
+        assert!(
+            !stderr.contains("unknown flag"),
+            "{args:?} is a known flag: {stderr}"
+        );
+    }
+}
+
 #[test]
 fn simulate_checks_output_paths_before_it_runs() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml/x");

@@ -20,13 +20,16 @@
 //! [`FanoutSink`] combines several sinks in one run, and [`CollectSink`]
 //! buffers raw events for tests. The [`json`] module holds the
 //! dependency-free JSON serializer behind the trace writer; [`value`] is
-//! its read-side complement (a minimal JSON parser), and [`reader`]
-//! builds on it to stream typed [`SimEvent`]s back out of a JSONL trace.
+//! its read-side complement (a minimal JSON parser) for campaign specs
+//! and manifests.
+//!
+//! Traces are written, never read back: a run depends only on its seed,
+//! so its Perfetto view comes from re-running it with a Perfetto tee
+//! (`mmhew-perfetto`'s `PerfettoSink`), not from converting its JSONL.
 
 pub mod event;
 pub mod json;
 pub mod metrics;
-pub mod reader;
 pub mod timeline;
 pub mod trace;
 pub mod value;
@@ -35,6 +38,5 @@ pub use event::{
     CollectSink, EventSink, FanoutSink, MediumResolution, NullSink, ProtocolPhase, SimEvent, Stamp,
 };
 pub use metrics::{ChannelActivity, MetricsSink, NodeActivity};
-pub use reader::{ReadError, TraceReader};
 pub use timeline::TimelineSink;
 pub use trace::{JsonlTraceSink, TRACE_SCHEMA_VERSION};

@@ -7,12 +7,13 @@ use std::path::Path;
 use crate::event::{EventSink, SimEvent};
 use crate::json;
 
-/// Schema version written as the first line of every trace file.
+/// Schema version written as the first line of every trace file, for
+/// tools outside this workspace that read traces (nothing here does).
 ///
 /// Version history:
-/// - *(unversioned)* — PR 1 traces: event lines only, no header.
+/// - *(unversioned)* — the first traces: event lines only, no header.
 /// - **1** — identical event vocabulary, plus this `{"schema_version":1}`
-///   header line. [`crate::reader::TraceReader`] accepts both.
+///   header line.
 pub const TRACE_SCHEMA_VERSION: u32 = 1;
 
 /// An [`EventSink`] that appends each event as one JSON line to a buffered
@@ -92,10 +93,188 @@ impl<W: Write> EventSink for JsonlTraceSink<W> {
 
 #[cfg(test)]
 mod tests {
+    use mmhew_radio::SlotAction;
+    use mmhew_spectrum::ChannelId;
+    use mmhew_time::{LocalTime, RealTime};
     use mmhew_topology::NodeId;
 
     use super::*;
-    use crate::event::{ProtocolPhase, Stamp};
+    use crate::event::{MediumResolution, ProtocolPhase, Stamp};
+
+    /// One event of every variant, exercising every stamp/enum shape.
+    fn all_variants() -> Vec<SimEvent> {
+        let slot = Stamp::Slot(7);
+        let real = Stamp::Real(RealTime::from_nanos(5_000));
+        let n = NodeId::new;
+        let c = ChannelId::new;
+        vec![
+            SimEvent::SlotStart { slot: 3 },
+            SimEvent::FrameStart {
+                node: n(1),
+                frame: 2,
+                real: RealTime::from_nanos(9_000),
+                local: LocalTime::from_nanos(8_900),
+            },
+            SimEvent::FrameEnd {
+                node: n(1),
+                frame: 2,
+                real: RealTime::from_nanos(10_000),
+                local: LocalTime::from_nanos(9_900),
+            },
+            SimEvent::Action {
+                at: slot,
+                node: n(0),
+                action: SlotAction::Transmit { channel: c(2) },
+            },
+            SimEvent::Action {
+                at: real,
+                node: n(1),
+                action: SlotAction::Listen { channel: c(0) },
+            },
+            SimEvent::Action {
+                at: slot,
+                node: n(2),
+                action: SlotAction::Quiet,
+            },
+            SimEvent::Channel {
+                at: slot,
+                channel: c(2),
+                resolution: MediumResolution::Clear {
+                    tx: n(0),
+                    rx_count: 2,
+                },
+            },
+            SimEvent::Channel {
+                at: slot,
+                channel: c(1),
+                resolution: MediumResolution::Collision { contenders: 3 },
+            },
+            SimEvent::Channel {
+                at: slot,
+                channel: c(0),
+                resolution: MediumResolution::Silence { listeners: 1 },
+            },
+            SimEvent::Delivery {
+                at: slot,
+                from: n(0),
+                to: n(1),
+                channel: c(2),
+            },
+            SimEvent::ImpairmentLoss { at: slot, count: 4 },
+            SimEvent::LinkCovered {
+                at: slot,
+                from: n(0),
+                to: n(1),
+                covered: 3,
+                expected: 22,
+            },
+            SimEvent::Phase {
+                at: slot,
+                node: n(0),
+                phase: ProtocolPhase::Stage(2),
+            },
+            SimEvent::Phase {
+                at: real,
+                node: n(1),
+                phase: ProtocolPhase::Estimate(8),
+            },
+            SimEvent::Phase {
+                at: slot,
+                node: n(2),
+                phase: ProtocolPhase::Terminated,
+            },
+            SimEvent::NodeJoined {
+                at: slot,
+                node: n(3),
+            },
+            SimEvent::NodeLeft {
+                at: slot,
+                node: n(3),
+            },
+            SimEvent::EdgeChanged {
+                at: slot,
+                from: n(0),
+                to: n(3),
+                added: true,
+            },
+            SimEvent::ChannelChanged {
+                at: slot,
+                node: n(1),
+                channel: c(3),
+                gained: false,
+            },
+            SimEvent::GroundTruthChanged {
+                at: slot,
+                covered: 1,
+                expected: 20,
+            },
+            SimEvent::BeaconLost {
+                at: slot,
+                from: n(0),
+                to: n(1),
+            },
+            SimEvent::SlotJammed {
+                at: slot,
+                channel: c(2),
+                losses: 3,
+            },
+            SimEvent::CaptureDelivery {
+                at: slot,
+                to: n(1),
+                from: n(0),
+                contenders: 3,
+            },
+            SimEvent::NodeCrashed {
+                at: slot,
+                node: n(2),
+            },
+            SimEvent::NodeRecovered {
+                at: real,
+                node: n(2),
+            },
+        ]
+    }
+
+    #[test]
+    fn writes_every_variant_as_its_pinned_line() {
+        let mut sink = JsonlTraceSink::new(Vec::new());
+        for e in &all_variants() {
+            sink.on_event(e);
+        }
+        assert_eq!(sink.events(), all_variants().len() as u64);
+        let bytes = sink.finish().expect("no io error");
+        let text = String::from_utf8(bytes).expect("utf8");
+        let expected = [
+            r#"{"schema_version":1}"#,
+            r#"{"slot_start":{"slot":3}}"#,
+            r#"{"frame_start":{"node":1,"frame":2,"real":9000,"local":8900}}"#,
+            r#"{"frame_end":{"node":1,"frame":2,"real":10000,"local":9900}}"#,
+            r#"{"action":{"at":{"slot":7},"node":0,"action":{"Transmit":{"channel":2}}}}"#,
+            r#"{"action":{"at":{"real":5000},"node":1,"action":{"Listen":{"channel":0}}}}"#,
+            r#"{"action":{"at":{"slot":7},"node":2,"action":"Quiet"}}"#,
+            r#"{"channel":{"at":{"slot":7},"channel":2,"resolution":{"clear":{"tx":0,"rx_count":2}}}}"#,
+            r#"{"channel":{"at":{"slot":7},"channel":1,"resolution":{"collision":{"contenders":3}}}}"#,
+            r#"{"channel":{"at":{"slot":7},"channel":0,"resolution":{"silence":{"listeners":1}}}}"#,
+            r#"{"delivery":{"at":{"slot":7},"from":0,"to":1,"channel":2}}"#,
+            r#"{"impairment_loss":{"at":{"slot":7},"count":4}}"#,
+            r#"{"link_covered":{"at":{"slot":7},"from":0,"to":1,"covered":3,"expected":22}}"#,
+            r#"{"phase":{"at":{"slot":7},"node":0,"phase":{"stage":2}}}"#,
+            r#"{"phase":{"at":{"real":5000},"node":1,"phase":{"estimate":8}}}"#,
+            r#"{"phase":{"at":{"slot":7},"node":2,"phase":"terminated"}}"#,
+            r#"{"node_joined":{"at":{"slot":7},"node":3}}"#,
+            r#"{"node_left":{"at":{"slot":7},"node":3}}"#,
+            r#"{"edge_changed":{"at":{"slot":7},"from":0,"to":3,"added":true}}"#,
+            r#"{"channel_changed":{"at":{"slot":7},"node":1,"channel":3,"gained":false}}"#,
+            r#"{"ground_truth_changed":{"at":{"slot":7},"covered":1,"expected":20}}"#,
+            r#"{"beacon_lost":{"at":{"slot":7},"from":0,"to":1}}"#,
+            r#"{"slot_jammed":{"at":{"slot":7},"channel":2,"losses":3}}"#,
+            r#"{"capture_delivery":{"at":{"slot":7},"to":1,"from":0,"contenders":3}}"#,
+            r#"{"node_crashed":{"at":{"slot":7},"node":2}}"#,
+            r#"{"node_recovered":{"at":{"real":5000},"node":2}}"#,
+        ];
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines, expected);
+    }
 
     #[test]
     fn writes_header_then_one_json_object_per_line() {

@@ -1,17 +1,16 @@
 //! A minimal JSON *parser*, the read-side complement of [`crate::json`]
 //! (which only serializes).
 //!
-//! The workspace deliberately avoids `serde_json`; trace lines, campaign
-//! specs and checkpoint manifests are small machine-written documents, so
-//! a recursive-descent parser over a [`Value`] tree is all that is
-//! needed. Numbers are held as `f64` (every numeric field the workspace
-//! round-trips is well inside the exact-integer range of a double);
-//! objects preserve key order so error messages can point at the
-//! offending field.
+//! The workspace deliberately avoids `serde_json`; campaign specs,
+//! checkpoint manifests and benchmark result lines are small
+//! machine-written documents, so a recursive-descent parser over a
+//! [`Value`] tree is all that is needed. Numbers are held as `f64`
+//! (every numeric field the workspace round-trips is well inside the
+//! exact-integer range of a double); objects preserve key order so error
+//! messages can point at the offending field.
 //!
-//! It is the workspace's one JSON parser: the trace reader
-//! ([`crate::reader`]), the bench-file checker, and campaign specs and
-//! manifests all read through it.
+//! It is the workspace's one JSON parser: campaign specs and manifests,
+//! and the benchmark's per-workload result lines, all read through it.
 
 use std::fmt;
 

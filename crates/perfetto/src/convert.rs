@@ -1,8 +1,8 @@
 //! `SimEvent` stream → Perfetto `Trace` conversion.
 //!
 //! The converter consumes the exact event vocabulary both engines emit
-//! (live through [`crate::PerfettoSink`], or replayed from a JSONL trace
-//! through `mmhew_obs::TraceReader`) and produces one protobuf `Trace`:
+//! (live through [`crate::PerfettoSink`]) and produces one protobuf
+//! `Trace`:
 //!
 //! - one **process track** for the simulation as a whole,
 //! - one **thread track per node** carrying protocol-phase slices and
@@ -19,9 +19,8 @@
 //!
 //! Determinism: the converter holds no randomness, iterates only ordered
 //! containers, and stable-sorts packets by timestamp at [`finish`] — the
-//! same event stream always yields byte-identical output, which is what
-//! lets CI diff a live-teed `.pftrace` against one converted from the
-//! JSONL trace of the same run.
+//! same event stream always yields byte-identical output, so two runs
+//! with the same seed write the same `.pftrace`.
 //!
 //! [`finish`]: PerfettoConverter::finish
 
@@ -111,30 +110,6 @@ impl Counter {
     }
 }
 
-/// Windowing and filtering options for a conversion.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ConvertOptions {
-    /// Drop events before this bound (slot index for slotted traces,
-    /// nanoseconds for continuous-time traces). Inclusive.
-    pub from: Option<u64>,
-    /// Drop events at or after this bound (same unit as `from`).
-    /// Exclusive.
-    pub to: Option<u64>,
-    /// Keep only events attributable to this node (network-wide events —
-    /// slot grid, channel resolutions, coverage counters — are kept).
-    pub node: Option<u32>,
-}
-
-impl ConvertOptions {
-    fn admits(&self, t: u64) -> bool {
-        self.from.is_none_or(|lo| t >= lo) && self.to.is_none_or(|hi| t < hi)
-    }
-
-    fn admits_node(&self, node: u32) -> bool {
-        self.node.is_none_or(|n| n == node)
-    }
-}
-
 /// Everything the converter buffered about one slot, flushed in a fixed
 /// order when the next slot (or the end of the trace) arrives. Buffering
 /// is what guarantees correct slice nesting: within one timestamp,
@@ -184,7 +159,6 @@ struct NodeState {
 /// [`push`]: PerfettoConverter::push
 /// [`finish`]: PerfettoConverter::finish
 pub struct PerfettoConverter {
-    opts: ConvertOptions,
     /// Encoded `TracePacket`s carrying descriptors, in creation order.
     descriptors: Vec<Vec<u8>>,
     /// Encoded event `TracePacket`s tagged with their timestamp.
@@ -204,15 +178,9 @@ pub struct PerfettoConverter {
 }
 
 impl PerfettoConverter {
-    /// A converter with default options (no windowing, all nodes).
+    /// An empty converter holding only the process track.
     pub fn new() -> Self {
-        Self::with_options(ConvertOptions::default())
-    }
-
-    /// A converter with explicit windowing/filtering options.
-    pub fn with_options(opts: ConvertOptions) -> Self {
         let mut c = Self {
-            opts,
             descriptors: Vec::new(),
             events: Vec::new(),
             declared: BTreeSet::new(),
@@ -235,7 +203,7 @@ impl PerfettoConverter {
         c
     }
 
-    /// Events consumed so far (after windowing/filtering).
+    /// Events consumed so far.
     pub fn events_pushed(&self) -> u64 {
         self.pushed
     }
@@ -407,6 +375,64 @@ impl PerfettoConverter {
         }
     }
 
+    /// The track and label of the eight events that render as an instant
+    /// marker: a node's track, or the process track for `None`.
+    fn marker(event: &SimEvent) -> Option<(Option<u32>, String)> {
+        let sign = |plus: bool| if plus { '+' } else { '-' };
+        Some(match event {
+            SimEvent::Delivery {
+                from, to, channel, ..
+            } => (
+                Some(to.index()),
+                format!("beacon from {} ch{}", from.index(), channel.index()),
+            ),
+            SimEvent::CaptureDelivery {
+                to,
+                from,
+                contenders,
+                ..
+            } => (
+                Some(to.index()),
+                format!("capture from {} ({contenders} contenders)", from.index()),
+            ),
+            SimEvent::BeaconLost { from, to, .. } => {
+                (Some(to.index()), format!("lost from {}", from.index()))
+            }
+            SimEvent::ImpairmentLoss { count, .. } => (None, format!("impairment x{count}")),
+            SimEvent::NodeJoined { node, .. } => (Some(node.index()), "join".into()),
+            SimEvent::NodeLeft { node, .. } => (Some(node.index()), "leave".into()),
+            SimEvent::EdgeChanged {
+                from, to, added, ..
+            } => (
+                Some(from.index()),
+                format!("edge {} to {}", sign(*added), to.index()),
+            ),
+            SimEvent::ChannelChanged {
+                node,
+                channel,
+                gained,
+                ..
+            } => (
+                Some(node.index()),
+                format!("ch{} {}", channel.index(), sign(*gained)),
+            ),
+            _ => return None,
+        })
+    }
+
+    /// Emits an instant marker on a node's track (declaring it first) or,
+    /// for `None`, on the process track.
+    fn marker_instant(&mut self, ts: u64, node: Option<u32>, name: &str) {
+        let track = match node {
+            Some(n) => {
+                self.ensure_node(n);
+                uuid::node(n)
+            }
+            None => uuid::PROCESS,
+        };
+        self.instant(ts, track, name);
+    }
+
     fn set_phase(&mut self, ts: u64, node: u32, name: &str) {
         self.ensure_node(node);
         if self.nodes[&node].phase_open {
@@ -485,14 +511,7 @@ impl PerfettoConverter {
         }
         // 5. Instant markers (deliveries, losses, dynamics).
         for (node, name) in &buf.instants {
-            let track = match node {
-                Some(n) => {
-                    self.ensure_node(*n);
-                    uuid::node(*n)
-                }
-                None => uuid::PROCESS,
-            };
-            self.instant(ts, track, name);
+            self.marker_instant(ts, *node, name);
         }
         // 6. Counters, attributed to this slot's start.
         if let Some((covered, expected)) = buf.coverage {
@@ -515,16 +534,10 @@ impl PerfettoConverter {
             self.flush_slot();
             self.cur_slot = Some(slot);
         }
-        if !self.opts.admits(slot) {
-            return;
-        }
         match event {
-            SimEvent::SlotStart { .. } => {}
             SimEvent::Action { node, action, .. } => {
                 if let Some((is_tx, channel)) = Self::action_name(action) {
-                    if self.opts.admits_node(node.index()) {
-                        self.slot.actions.push((node.index(), is_tx, channel));
-                    }
+                    self.slot.actions.push((node.index(), is_tx, channel));
                 }
             }
             SimEvent::Channel { resolution, .. } => {
@@ -532,41 +545,6 @@ impl PerfettoConverter {
                 if let MediumResolution::Collision { contenders } = resolution {
                     self.slot.contention += *contenders as u64;
                 }
-            }
-            SimEvent::Delivery {
-                from, to, channel, ..
-            } => {
-                if self.opts.admits_node(to.index()) || self.opts.admits_node(from.index()) {
-                    self.slot.instants.push((
-                        Some(to.index()),
-                        format!("beacon from {} ch{}", from.index(), channel.index()),
-                    ));
-                }
-            }
-            SimEvent::CaptureDelivery {
-                to,
-                from,
-                contenders,
-                ..
-            } => {
-                if self.opts.admits_node(to.index()) || self.opts.admits_node(from.index()) {
-                    self.slot.instants.push((
-                        Some(to.index()),
-                        format!("capture from {} ({contenders} contenders)", from.index()),
-                    ));
-                }
-            }
-            SimEvent::BeaconLost { from, to, .. } => {
-                if self.opts.admits_node(to.index()) || self.opts.admits_node(from.index()) {
-                    self.slot
-                        .instants
-                        .push((Some(to.index()), format!("lost from {}", from.index())));
-                }
-            }
-            SimEvent::ImpairmentLoss { count, .. } => {
-                self.slot
-                    .instants
-                    .push((None, format!("impairment x{count}")));
             }
             SimEvent::LinkCovered {
                 covered, expected, ..
@@ -577,150 +555,55 @@ impl PerfettoConverter {
                 self.slot.coverage = Some((*covered, *expected));
             }
             SimEvent::Phase { node, phase, .. } => {
-                if self.opts.admits_node(node.index()) {
-                    self.slot
-                        .phases
-                        .push((node.index(), Self::phase_name(phase)));
-                }
-            }
-            SimEvent::NodeJoined { node, .. } => {
-                if self.opts.admits_node(node.index()) {
-                    self.slot.instants.push((Some(node.index()), "join".into()));
-                }
-            }
-            SimEvent::NodeLeft { node, .. } => {
-                if self.opts.admits_node(node.index()) {
-                    self.slot
-                        .instants
-                        .push((Some(node.index()), "leave".into()));
-                }
-            }
-            SimEvent::EdgeChanged {
-                from, to, added, ..
-            } => {
-                if self.opts.admits_node(from.index()) || self.opts.admits_node(to.index()) {
-                    let sign = if *added { '+' } else { '-' };
-                    self.slot
-                        .instants
-                        .push((Some(from.index()), format!("edge {sign} to {}", to.index())));
-                }
-            }
-            SimEvent::ChannelChanged {
-                node,
-                channel,
-                gained,
-                ..
-            } => {
-                if self.opts.admits_node(node.index()) {
-                    let sign = if *gained { '+' } else { '-' };
-                    self.slot
-                        .instants
-                        .push((Some(node.index()), format!("ch{} {sign}", channel.index())));
-                }
+                self.slot
+                    .phases
+                    .push((node.index(), Self::phase_name(phase)));
             }
             SimEvent::SlotJammed { channel, .. } => {
                 self.slot.jams.insert(channel.index());
             }
-            SimEvent::NodeCrashed { node, .. } => {
-                if self.opts.admits_node(node.index()) {
-                    self.slot.crashes.push((node.index(), false));
-                }
-            }
-            SimEvent::NodeRecovered { node, .. } => {
-                if self.opts.admits_node(node.index()) {
-                    self.slot.crashes.push((node.index(), true));
-                }
-            }
-            SimEvent::FrameStart { .. } | SimEvent::FrameEnd { .. } => {
-                // Frame events carry real stamps and are handled by the
-                // continuous-time path; they never carry a slot stamp.
-            }
+            SimEvent::NodeCrashed { node, .. } => self.slot.crashes.push((node.index(), false)),
+            SimEvent::NodeRecovered { node, .. } => self.slot.crashes.push((node.index(), true)),
+            // Frame events carry real stamps and never reach this path;
+            // a slot start carries nothing beyond its slot.
+            _ => self.slot.instants.extend(Self::marker(event)),
         }
     }
 
     // ---- continuous-time path ----------------------------------------
 
     fn push_continuous(&mut self, ts: u64, event: &SimEvent) {
-        if !self.opts.admits(ts) {
-            return;
-        }
         match event {
             SimEvent::FrameStart { node, frame, .. } => {
-                if self.opts.admits_node(node.index()) {
-                    self.ensure_frames(node.index());
-                    if !self.nodes[&node.index()].frame_open {
-                        self.slice_begin(ts, uuid::frames(node.index()), &format!("frame {frame}"));
-                        self.nodes
-                            .get_mut(&node.index())
-                            .expect("ensured")
-                            .frame_open = true;
-                    }
+                self.ensure_frames(node.index());
+                if !self.nodes[&node.index()].frame_open {
+                    self.slice_begin(ts, uuid::frames(node.index()), &format!("frame {frame}"));
+                    self.nodes
+                        .get_mut(&node.index())
+                        .expect("ensured")
+                        .frame_open = true;
                 }
             }
             SimEvent::FrameEnd { node, .. } => {
-                if self.opts.admits_node(node.index()) {
-                    self.ensure_frames(node.index());
-                    if self.nodes[&node.index()].frame_open {
-                        self.slice_end(ts, uuid::frames(node.index()));
-                        self.nodes
-                            .get_mut(&node.index())
-                            .expect("ensured")
-                            .frame_open = false;
-                    }
+                self.ensure_frames(node.index());
+                if self.nodes[&node.index()].frame_open {
+                    self.slice_end(ts, uuid::frames(node.index()));
+                    self.nodes
+                        .get_mut(&node.index())
+                        .expect("ensured")
+                        .frame_open = false;
                 }
             }
             SimEvent::Action { node, action, .. } => {
                 if let Some((is_tx, channel)) = Self::action_name(action) {
-                    if self.opts.admits_node(node.index()) {
-                        self.ensure_node(node.index());
-                        let name = if is_tx {
-                            format!("tx ch{channel}")
-                        } else {
-                            format!("rx ch{channel}")
-                        };
-                        self.instant(ts, uuid::node(node.index()), &name);
-                    }
+                    self.ensure_node(node.index());
+                    let name = if is_tx {
+                        format!("tx ch{channel}")
+                    } else {
+                        format!("rx ch{channel}")
+                    };
+                    self.instant(ts, uuid::node(node.index()), &name);
                 }
-            }
-            SimEvent::Delivery {
-                from, to, channel, ..
-            } => {
-                if self.opts.admits_node(to.index()) || self.opts.admits_node(from.index()) {
-                    self.ensure_node(to.index());
-                    self.instant(
-                        ts,
-                        uuid::node(to.index()),
-                        &format!("beacon from {} ch{}", from.index(), channel.index()),
-                    );
-                }
-            }
-            SimEvent::CaptureDelivery {
-                to,
-                from,
-                contenders,
-                ..
-            } => {
-                if self.opts.admits_node(to.index()) || self.opts.admits_node(from.index()) {
-                    self.ensure_node(to.index());
-                    self.instant(
-                        ts,
-                        uuid::node(to.index()),
-                        &format!("capture from {} ({contenders} contenders)", from.index()),
-                    );
-                }
-            }
-            SimEvent::BeaconLost { from, to, .. } => {
-                if self.opts.admits_node(to.index()) || self.opts.admits_node(from.index()) {
-                    self.ensure_node(to.index());
-                    self.instant(
-                        ts,
-                        uuid::node(to.index()),
-                        &format!("lost from {}", from.index()),
-                    );
-                }
-            }
-            SimEvent::ImpairmentLoss { count, .. } => {
-                self.instant(ts, uuid::PROCESS, &format!("impairment x{count}"));
             }
             SimEvent::LinkCovered {
                 covered, expected, ..
@@ -731,51 +614,8 @@ impl PerfettoConverter {
                 self.update_coverage(ts, *covered, *expected);
             }
             SimEvent::Phase { node, phase, .. } => {
-                if self.opts.admits_node(node.index()) {
-                    let name = Self::phase_name(phase);
-                    self.set_phase(ts, node.index(), &name);
-                }
-            }
-            SimEvent::NodeJoined { node, .. } => {
-                if self.opts.admits_node(node.index()) {
-                    self.ensure_node(node.index());
-                    self.instant(ts, uuid::node(node.index()), "join");
-                }
-            }
-            SimEvent::NodeLeft { node, .. } => {
-                if self.opts.admits_node(node.index()) {
-                    self.ensure_node(node.index());
-                    self.instant(ts, uuid::node(node.index()), "leave");
-                }
-            }
-            SimEvent::EdgeChanged {
-                from, to, added, ..
-            } => {
-                if self.opts.admits_node(from.index()) || self.opts.admits_node(to.index()) {
-                    self.ensure_node(from.index());
-                    let sign = if *added { '+' } else { '-' };
-                    self.instant(
-                        ts,
-                        uuid::node(from.index()),
-                        &format!("edge {sign} to {}", to.index()),
-                    );
-                }
-            }
-            SimEvent::ChannelChanged {
-                node,
-                channel,
-                gained,
-                ..
-            } => {
-                if self.opts.admits_node(node.index()) {
-                    self.ensure_node(node.index());
-                    let sign = if *gained { '+' } else { '-' };
-                    self.instant(
-                        ts,
-                        uuid::node(node.index()),
-                        &format!("ch{} {sign}", channel.index()),
-                    );
-                }
+                let name = Self::phase_name(phase);
+                self.set_phase(ts, node.index(), &name);
             }
             SimEvent::SlotJammed {
                 channel, losses, ..
@@ -787,16 +627,8 @@ impl PerfettoConverter {
                     &format!("jammed ({losses} lost)"),
                 );
             }
-            SimEvent::NodeCrashed { node, .. } => {
-                if self.opts.admits_node(node.index()) {
-                    self.set_crashed(ts, node.index(), true);
-                }
-            }
-            SimEvent::NodeRecovered { node, .. } => {
-                if self.opts.admits_node(node.index()) {
-                    self.set_crashed(ts, node.index(), false);
-                }
-            }
+            SimEvent::NodeCrashed { node, .. } => self.set_crashed(ts, node.index(), true),
+            SimEvent::NodeRecovered { node, .. } => self.set_crashed(ts, node.index(), false),
             SimEvent::Channel { resolution, .. } => {
                 // The continuous-time engine has no network-wide slot, so
                 // contention renders as a point sample.
@@ -808,7 +640,11 @@ impl PerfettoConverter {
                     }
                 }
             }
-            SimEvent::SlotStart { .. } => {}
+            _ => {
+                if let Some((node, name)) = Self::marker(event) {
+                    self.marker_instant(ts, node, &name);
+                }
+            }
         }
     }
 
@@ -971,38 +807,6 @@ mod tests {
         let some = convert(&events[..3]);
         assert!(!some.is_empty());
         assert!(all.len() > some.len());
-    }
-
-    #[test]
-    fn windowing_drops_out_of_range_slots() {
-        let events = slotted_events();
-        let mut conv = PerfettoConverter::with_options(ConvertOptions {
-            from: Some(1),
-            to: Some(2),
-            node: None,
-        });
-        for e in &events {
-            conv.push(e);
-        }
-        let windowed = conv.finish();
-        let full = convert(&events);
-        assert!(windowed.len() < full.len());
-    }
-
-    #[test]
-    fn node_filter_prunes_other_nodes() {
-        let events = slotted_events();
-        let mut conv = PerfettoConverter::with_options(ConvertOptions {
-            from: None,
-            to: None,
-            node: Some(0),
-        });
-        for e in &events {
-            conv.push(e);
-        }
-        let filtered = conv.finish();
-        let full = convert(&events);
-        assert!(filtered.len() < full.len());
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::path::Path;
 
 use mmhew_obs::{EventSink, SimEvent};
 
-use crate::convert::{ConvertOptions, PerfettoConverter};
+use crate::convert::PerfettoConverter;
 
 /// An [`EventSink`] that converts events to a Perfetto trace as they are
 /// emitted and writes the `.pftrace` file on [`PerfettoSink::finish`].
@@ -30,17 +30,8 @@ impl PerfettoSink {
     ///
     /// Returns the I/O error when `path` cannot be created.
     pub fn create<P: AsRef<Path>>(path: P) -> io::Result<Self> {
-        Self::with_options(path, ConvertOptions::default())
-    }
-
-    /// [`PerfettoSink::create`] with explicit windowing/filtering options.
-    ///
-    /// # Errors
-    ///
-    /// Returns the I/O error when `path` cannot be created.
-    pub fn with_options<P: AsRef<Path>>(path: P, opts: ConvertOptions) -> io::Result<Self> {
         Ok(Self {
-            converter: PerfettoConverter::with_options(opts),
+            converter: PerfettoConverter::new(),
             file: File::create(path)?,
         })
     }

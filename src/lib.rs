@@ -71,7 +71,6 @@ pub mod prelude {
     pub use mmhew_faults::{CrashSchedule, FaultPlan, GilbertElliott, JamSchedule, LinkLossModel};
     pub use mmhew_obs::{
         EventSink, FanoutSink, JsonlTraceSink, MetricsSink, NullSink, SimEvent, TimelineSink,
-        TraceReader,
     };
     pub use mmhew_perfetto::{PerfettoConverter, PerfettoSink};
     pub use mmhew_radio::Impairments;

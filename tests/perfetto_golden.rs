@@ -1,13 +1,17 @@
-//! Perfetto export guarantees: fixed-seed conversion is byte-stable on
-//! both engines, the live tee and the offline converter agree exactly,
-//! and the emitted protobuf is structurally sound (unique track uuids,
-//! nondecreasing timestamps) under an independent in-test decoder.
+//! Perfetto export guarantees: the live tee's `.pftrace` is byte-stable
+//! for a fixed seed on both engines, and the emitted protobuf is
+//! structurally sound (unique track uuids, nondecreasing timestamps)
+//! under an independent in-test decoder. A run depends only on its seed,
+//! so re-running it with the tee is the one way to a Perfetto view.
 //!
 //! The golden `.pftrace` files under `tests/golden/` are committed and pin
-//! the encoding: any byte drift in the converter fails here. A golden
-//! never blesses itself. When one is missing, the test writes what the
-//! current build produced to `<name>.new` next to it and fails; review
-//! that file and rename it to bless it.
+//! the encoding: any byte drift in the converter fails here. Two of them
+//! run under churn, primary users, mobility, loss, a jammer, a crash
+//! outage, capture and impairments, so every instant marker is pinned on
+//! both the slotted and the continuous-time path. A golden never blesses
+//! itself. When one is missing, the test writes what the current build
+//! produced to `<name>.new` next to it and fails; review that file and
+//! rename it to bless it.
 
 use mmhew::prelude::*;
 use std::path::PathBuf;
@@ -66,6 +70,112 @@ fn async_pftrace(seed: u64, file: &str) -> Vec<u8> {
     bytes
 }
 
+/// A six-node unit disk under churn, Markov primary users and mobility,
+/// with bursty loss, a sweeping jammer, one crash outage and lossy
+/// impairments: every instant marker the converter draws, on both
+/// engines. `horizon` is in the engine's time unit (slots or nanoseconds).
+fn adversity(seed: &SeedTree, network: &Network, horizon: u64) -> (DynamicsSchedule, FaultPlan) {
+    let step = horizon / 20;
+    let dynamics = DynamicsSchedule::merged([
+        poisson_churn(
+            network,
+            horizon,
+            &ChurnConfig {
+                rate: 4.0 / horizon as f64,
+                mean_downtime: (horizon / 8) as f64,
+            },
+            seed.branch("churn"),
+        ),
+        markov_primary_users(
+            network,
+            horizon,
+            &SpectrumChurnConfig {
+                p_occupy: 0.2,
+                p_vacate: 0.5,
+                step,
+            },
+            seed.branch("pu"),
+        ),
+        random_waypoint(
+            network,
+            horizon,
+            &MobilityConfig {
+                side: 5.0,
+                radius: 3.0,
+                speed: 1.0,
+                step,
+            },
+            seed.branch("mobility"),
+        ),
+    ]);
+    let faults = FaultPlan::new()
+        .with_default_loss(LinkLossModel::GilbertElliott(GilbertElliott::bursty(
+            0.2, 4.0,
+        )))
+        .with_jamming(JamSchedule::sweeping(
+            network.universe_size(),
+            step,
+            horizon,
+        ))
+        .with_crashes(CrashSchedule::outage(
+            NodeId::new(1),
+            horizon / 4,
+            horizon / 2,
+        ));
+    (dynamics, faults)
+}
+
+fn adverse_net(seed: &SeedTree) -> Network {
+    NetworkBuilder::unit_disk(6, 5.0, 3.0)
+        .universe(4)
+        .availability(AvailabilityModel::UniformSubset { size: 3 })
+        .build(seed.branch("net"))
+        .expect("build")
+}
+
+/// [`sync_pftrace`] under [`adversity`] plus capture, for a fixed
+/// 200 slots.
+fn sync_adverse_pftrace(seed: u64, file: &str) -> Vec<u8> {
+    let tree = SeedTree::new(seed);
+    let network = adverse_net(&tree);
+    let (dynamics, faults) = adversity(&tree, &network, 200);
+    let path = temp_path(file);
+    Scenario::sync(&network, sync_alg(&network))
+        .config(
+            SyncRunConfig::fixed(200).with_impairments(Impairments::with_delivery_probability(0.8)),
+        )
+        .with_dynamics(dynamics)
+        .with_faults(faults.with_capture(0.5))
+        .with_perfetto(&path)
+        .run(tree.branch("run"))
+        .expect("run");
+    let bytes = std::fs::read(&path).expect("tee file written");
+    std::fs::remove_file(&path).ok();
+    bytes
+}
+
+/// [`async_pftrace`] under [`adversity`], for at most 60 frames of the
+/// default 3 µs.
+fn async_adverse_pftrace(seed: u64, file: &str) -> Vec<u8> {
+    let tree = SeedTree::new(seed);
+    let network = adverse_net(&tree);
+    let (dynamics, faults) = adversity(&tree, &network, 180_000);
+    let path = temp_path(file);
+    Scenario::asynchronous(&network, async_alg(&network))
+        .config(
+            AsyncRunConfig::until_complete(60)
+                .with_impairments(Impairments::with_delivery_probability(0.8)),
+        )
+        .with_dynamics(dynamics)
+        .with_faults(faults)
+        .with_perfetto(&path)
+        .run(tree.branch("run"))
+        .expect("run");
+    let bytes = std::fs::read(&path).expect("tee file written");
+    std::fs::remove_file(&path).ok();
+    bytes
+}
+
 #[test]
 fn same_seed_pftrace_is_byte_identical_on_both_engines() {
     let a = sync_pftrace(0x51, "sync-a.pftrace");
@@ -82,54 +192,6 @@ fn same_seed_pftrace_is_byte_identical_on_both_engines() {
 }
 
 #[test]
-fn live_tee_matches_offline_conversion() {
-    // One run captured as JSONL, then converted offline, must produce the
-    // exact bytes the live tee wrote during an identical run — the CI
-    // trace-tooling job diffs the two paths the same way.
-    let tree = SeedTree::new(0x53);
-    let network = net(&tree);
-
-    let mut jsonl = JsonlTraceSink::new(Vec::new());
-    Scenario::sync(&network, sync_alg(&network))
-        .config(SyncRunConfig::until_complete(50_000))
-        .with_sink(&mut jsonl)
-        .run(tree.branch("run"))
-        .expect("run");
-    let jsonl_bytes = jsonl.finish().expect("no io error");
-
-    let mut converter = PerfettoConverter::new();
-    for item in TraceReader::new(jsonl_bytes.as_slice()) {
-        converter.push(&item.expect("trace line decodes"));
-    }
-    let offline = converter.finish();
-
-    let teed = sync_pftrace(0x53, "tee.pftrace");
-    assert_eq!(offline, teed, "offline conversion and live tee must agree");
-}
-
-#[test]
-fn converting_the_same_trace_twice_is_deterministic() {
-    let tree = SeedTree::new(0x54);
-    let network = net(&tree);
-    let mut jsonl = JsonlTraceSink::new(Vec::new());
-    Scenario::sync(&network, sync_alg(&network))
-        .config(SyncRunConfig::until_complete(50_000))
-        .with_sink(&mut jsonl)
-        .run(tree.branch("run"))
-        .expect("run");
-    let jsonl_bytes = jsonl.finish().expect("no io error");
-
-    let convert = || {
-        let mut c = PerfettoConverter::new();
-        for item in TraceReader::new(jsonl_bytes.as_slice()) {
-            c.push(&item.expect("decodes"));
-        }
-        c.finish()
-    };
-    assert_eq!(convert(), convert());
-}
-
-#[test]
 fn golden_files_pin_the_encoding() {
     let goldens = [
         (
@@ -139,6 +201,14 @@ fn golden_files_pin_the_encoding() {
         (
             "tests/golden/perfetto_async_seed66.pftrace",
             async_pftrace(0x66, "g-async.pftrace"),
+        ),
+        (
+            "tests/golden/perfetto_sync_adverse_seed67.pftrace",
+            sync_adverse_pftrace(0x67, "g-sync-adverse.pftrace"),
+        ),
+        (
+            "tests/golden/perfetto_async_adverse_seed67.pftrace",
+            async_adverse_pftrace(0x67, "g-async-adverse.pftrace"),
         ),
     ];
     let mut missing = Vec::new();
