@@ -23,21 +23,17 @@
 //!
 //! The `campaign` binary (in this crate) drives it from the command
 //! line: `campaign --spec sweep.json [--resume] [--jobs N]`, or
-//! `campaign --smoke` for the built-in 4-point CI spec. A finished (or
-//! in-flight) manifest can be rendered into a self-contained static HTML
-//! report — quantile charts per swept axis plus a point table with
-//! replay commands — via `campaign explore --manifest FILE.jsonl`
-//! ([`render_explorer`]).
+//! `campaign --smoke` for the built-in 4-point CI spec. The manifest
+//! lines, the `<name>.campaign.json` artifact and `campaign … --point N`
+//! are the way to read and replay a sweep.
 //!
 //! The point-execution and manifest machinery lives in [`points`]; the
 //! single-process driver in [`run`] is a thin shell over it.
 
-pub mod explorer;
 pub mod points;
 pub mod run;
 pub mod spec;
 
-pub use explorer::{render_explorer, ExplorerError, ExplorerOptions};
 pub use points::{manifest_header, point_seed, run_point, MANIFEST_SCHEMA_VERSION};
 pub use run::{run_campaign, CampaignError, CampaignOptions, CampaignOutcome};
 pub use spec::{AxisSpec, EngineKind, GridMode, Point, SpecError, SweepSpec, AXES};

@@ -10,13 +10,13 @@
 //!   depend on scheduling), and renders the manifest line — the same
 //!   bytes whether it runs inside a full campaign, alone, or twice after
 //!   a crash.
-//! * The manifest helpers ([`manifest_header`], `ensure_manifest_header`,
-//!   `load_manifest`, `append_manifest`, `write_artifact_file`)
+//! * The manifest helpers ([`manifest_header`], `write_manifest`,
+//!   `resume_manifest`, `append_manifest`, `write_artifact_file`)
 //!   implement the checkpoint format: a *spec-echo header* line
 //!   (`{"schema_version":…,"spec":…}`) followed by one JSON line per
 //!   completed point. Appends are whole lines, so a crash leaves at most
-//!   one torn final line; loading drops torn data lines, and a torn or
-//!   missing header is rewritten rather than aborting a resume.
+//!   one torn final line; `resume_manifest` — the one manifest reader —
+//!   drops that line and refuses every other defect by name.
 //!
 //! The driver is a thin shell over this module, which is what makes a
 //! resumed campaign's manifest byte-identical to an uninterrupted run of
@@ -31,7 +31,7 @@ use mmhew_faults::{FaultPlan, JamSchedule, LinkLossModel};
 use mmhew_obs::value::{parse, Value};
 use mmhew_spectrum::{AvailabilityModel, ChannelSet};
 use mmhew_topology::{Network, NetworkBuilder};
-use mmhew_util::{Histogram, SeedTree, Welford};
+use mmhew_util::{quantile, SeedTree, Welford};
 use serde::Serialize;
 use std::collections::BTreeMap;
 use std::io::Write as _;
@@ -43,18 +43,21 @@ pub(crate) const REPS_PER_SHARD: u64 = 4;
 
 /// Schema version stamped on every manifest line (and therefore on each
 /// entry of the artifact's `points` array) and on the spec-echo header.
+/// The manifest reader accepts this version only.
 ///
 /// Version history:
 ///
-/// * **1** — first stamped shape: `schema_version`, `point`, `params`,
-///   `reps`, `completed`, `failures`, `mean`, `stddev`, `min`, `max`,
-///   `p50`, `p90`, `p99`. Lines *without* the field (written before
-///   versioning existed) are the same shape minus the stamp and are
-///   accepted by every reader; lines stamped with a *newer* version are
-///   rejected rather than misread. The spec-echo header
-///   (`{"schema_version":1,"spec":{…}}`) joined the format later;
-///   readers ignore it when absent.
-pub const MANIFEST_SCHEMA_VERSION: u32 = 1;
+/// * **1** — `schema_version`, `point`, `params`, `reps`, `completed`,
+///   `failures`, `mean`, `stddev`, `min`, `max`, `p50`, `p90`, `p99`,
+///   with quantiles interpolated inside a `[0, budget)` histogram of
+///   `hist-bins` bins (so a quantile could lie outside `[min, max]`), and
+///   `mean` and `stddev` written as `0` for a point with no completed
+///   repetition.
+/// * **2** — the same fields. `p50`, `p90` and `p99` are
+///   [`mmhew_util::quantile`] of the completion times, and `mean` and
+///   `stddev` are `null` when no repetition completed. The spec echo has
+///   no `hist-bins` key.
+pub const MANIFEST_SCHEMA_VERSION: u32 = 2;
 
 /// The seed subtree owning all randomness of one point: derived from the
 /// master seed, the campaign name, and the point's *numeric grid id* —
@@ -238,41 +241,37 @@ fn run_rep(ctx: &PointContext, rep: u64) -> Result<Option<f64>, ProtocolError> {
     }
 }
 
-/// Streaming aggregate of one shard (and, after merging, one point).
+/// Aggregate of one shard (and, after merging, one point).
 pub(crate) struct Agg {
-    pub(crate) welford: Welford,
-    pub(crate) hist: Histogram,
-    pub(crate) failures: u64,
+    welford: Welford,
+    /// Completion times, in repetition order.
+    times: Vec<f64>,
+    failures: u64,
 }
 
 impl Agg {
-    pub(crate) fn new(spec: &SweepSpec) -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             welford: Welford::new(),
-            hist: Histogram::new(0.0, spec.budget as f64, spec.hist_bins),
+            times: Vec::new(),
             failures: 0,
         }
     }
 
-    pub(crate) fn merge(&mut self, other: &Agg) {
+    pub(crate) fn merge(&mut self, other: Agg) {
         self.welford.merge(&other.welford);
-        self.hist.merge(&other.hist);
+        self.times.extend(other.times);
         self.failures += other.failures;
     }
 }
 
-pub(crate) fn run_shard(
-    spec: &SweepSpec,
-    ctx: &PointContext,
-    start: u64,
-    len: u64,
-) -> Result<Agg, ProtocolError> {
-    let mut agg = Agg::new(spec);
+pub(crate) fn run_shard(ctx: &PointContext, start: u64, len: u64) -> Result<Agg, ProtocolError> {
+    let mut agg = Agg::new();
     for rep in start..start + len {
         match run_rep(ctx, rep)? {
             Some(x) => {
                 agg.welford.push(x);
-                agg.hist.record(x);
+                agg.times.push(x);
             }
             None => agg.failures += 1,
         }
@@ -292,7 +291,7 @@ pub(crate) fn shards(reps: u64) -> impl Iterator<Item = (u64, u64)> {
 
 /// One completed point as recorded in the manifest and artifact.
 /// Failed (budget-exhausted) repetitions are counted but excluded from
-/// the statistics.
+/// the statistics, which are `null` when no repetition completed.
 #[derive(Serialize)]
 struct PointRecord<'a> {
     schema_version: u32,
@@ -305,13 +304,13 @@ struct PointRecord<'a> {
     reps: u64,
     completed: u64,
     failures: u64,
-    mean: f64,
-    stddev: f64,
-    min: f64,
-    max: f64,
-    p50: f64,
-    p90: f64,
-    p99: f64,
+    mean: Option<f64>,
+    stddev: Option<f64>,
+    min: Option<f64>,
+    max: Option<f64>,
+    p50: Option<f64>,
+    p90: Option<f64>,
+    p99: Option<f64>,
 }
 
 pub(crate) fn render_record(
@@ -319,21 +318,23 @@ pub(crate) fn render_record(
     point: &Point,
     agg: &Agg,
 ) -> Result<String, CampaignError> {
+    let w = &agg.welford;
+    let done = w.count() > 0;
     let record = PointRecord {
         schema_version: MANIFEST_SCHEMA_VERSION,
         point: point.id,
         protocol: point.protocol.as_deref(),
         params: &point.values,
         reps: spec.reps,
-        completed: agg.welford.count(),
+        completed: w.count(),
         failures: agg.failures,
-        mean: agg.welford.mean(),
-        stddev: agg.welford.stddev(),
-        min: agg.welford.min(),
-        max: agg.welford.max(),
-        p50: agg.hist.quantile(0.5),
-        p90: agg.hist.quantile(0.9),
-        p99: agg.hist.quantile(0.99),
+        mean: done.then(|| w.mean()),
+        stddev: done.then(|| w.stddev()),
+        min: done.then(|| w.min()),
+        max: done.then(|| w.max()),
+        p50: done.then(|| quantile(&agg.times, 0.5)),
+        p90: done.then(|| quantile(&agg.times, 0.9)),
+        p99: done.then(|| quantile(&agg.times, 0.99)),
     };
     mmhew_obs::json::to_string(&record).map_err(|e| CampaignError::Render(e.to_string()))
 }
@@ -347,9 +348,9 @@ pub(crate) fn render_record(
 /// Returns any compile/run/serialize failure.
 pub(crate) fn run_point_line(spec: &SweepSpec, point: &Point) -> Result<String, CampaignError> {
     let ctx = compile_point(spec, point)?;
-    let mut agg = Agg::new(spec);
+    let mut agg = Agg::new();
     for (start, len) in shards(spec.reps) {
-        agg.merge(&run_shard(spec, &ctx, start, len)?);
+        agg.merge(run_shard(&ctx, start, len)?);
     }
     render_record(spec, point, &agg)
 }
@@ -373,9 +374,8 @@ pub fn run_point(spec: &SweepSpec, point_id: u64) -> Result<String, CampaignErro
 
 /// The spec-echo header: the first line of every manifest, recording
 /// which spec (in canonical [`SweepSpec::to_json`] form) the data lines
-/// belong to. Readers that predate it skip it (no `point` field); resume
-/// uses it to refuse continuing one campaign's manifest under a
-/// different spec.
+/// belong to. Resume compares it byte for byte to refuse continuing one
+/// campaign's manifest under a different spec.
 pub fn manifest_header(spec: &SweepSpec) -> String {
     format!(
         "{{\"schema_version\":{MANIFEST_SCHEMA_VERSION},\"spec\":{}}}",
@@ -383,107 +383,98 @@ pub fn manifest_header(spec: &SweepSpec) -> String {
     )
 }
 
-/// True if this parsed manifest line is a spec-echo header.
-fn is_header(v: &Value) -> bool {
-    v.get("spec").is_some() && v.get("point").is_none()
+/// Writes the header and the `done` lines in point order through a temp
+/// file and a rename, replacing any file at `path`; a crash here leaves
+/// the previous file intact.
+pub(crate) fn write_manifest(
+    path: &Path,
+    spec: &SweepSpec,
+    done: &BTreeMap<u64, String>,
+) -> Result<(), CampaignError> {
+    let mut out = manifest_header(spec);
+    out.push('\n');
+    for line in done.values() {
+        out.push_str(line);
+        out.push('\n');
+    }
+    let tmp = path.with_extension("jsonl.tmp");
+    std::fs::write(&tmp, out).map_err(CampaignError::io(&tmp))?;
+    std::fs::rename(&tmp, path).map_err(CampaignError::io(path))
 }
 
-/// Makes sure the manifest at `path` is an intact checkpoint to append
-/// to: a spec-echo header for `spec`, then whole data lines, ending in a
-/// newline. The file is created when missing and *rewritten* — keeping
-/// surviving data lines verbatim, in file order — when the header is
-/// absent, torn mid-write, or predates headers, or when the final data
-/// line was torn by a crash (a torn, newline-less tail would otherwise
-/// corrupt the next append). A manifest whose intact header echoes a
-/// *different* spec is an error: resuming it would silently mix two
-/// campaigns in one file.
+/// Reads the manifest at `path` once to resume `spec`, whose grid has
+/// `points` points, and returns the recorded lines by point id.
 ///
-/// # Errors
+/// A line counts once its newline is written: a final line without one
+/// was torn by a crash and is dropped, so its point runs again. When a
+/// line was dropped, or the file is missing or empty, the manifest is
+/// rewritten as the header plus the kept lines, so the next append starts
+/// on a fresh line. Every other defect is a [`CampaignError::Manifest`]
+/// naming the file and line:
 ///
-/// Returns [`CampaignError::Manifest`] on a spec mismatch, or any I/O
-/// failure.
-pub(crate) fn ensure_manifest_header(path: &Path, spec: &SweepSpec) -> Result<(), CampaignError> {
-    let header = manifest_header(spec);
+/// * a line that is not JSON;
+/// * a `schema_version` other than [`MANIFEST_SCHEMA_VERSION`], checked
+///   first, so an older manifest is refused by its version;
+/// * a first line that is not the spec-echo header of `spec`;
+/// * a data line without a point id, with an id outside the grid, or
+///   with an id recorded before.
+pub(crate) fn resume_manifest(
+    path: &Path,
+    spec: &SweepSpec,
+    points: u64,
+) -> Result<BTreeMap<u64, String>, CampaignError> {
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => String::new(),
         Err(e) => return Err(CampaignError::io(path)(e)),
     };
-    let header_intact = match text.lines().next().map(parse) {
-        Some(Ok(v)) if is_header(&v) => {
-            // An intact header: either ours or some other campaign's
-            // (refuse rather than mixing manifests).
-            if v.get("spec").map(Value::to_json).unwrap_or_default() != spec.to_json() {
-                return Err(CampaignError::Manifest(format!(
-                    "{} already holds a manifest for a different spec \
-                     (echoed name {:?}); refusing to mix campaigns",
-                    path.display(),
-                    v.get("spec")
-                        .and_then(|s| s.get("name"))
-                        .and_then(Value::as_str)
-                        .unwrap_or("<unknown>")
-                )));
-            }
-            true
-        }
-        _ => false,
+    let intact = text.rfind('\n').map_or("", |end| &text[..=end]);
+    let fail = |line: usize, problem: String| CampaignError::Manifest {
+        path: path.to_path_buf(),
+        line: line + 1,
+        problem,
     };
-    let clean = header_intact
-        && text.ends_with('\n')
-        && text.lines().skip(1).all(|line| {
-            parse(line).is_ok_and(|v| v.get("point").and_then(Value::as_u64).is_some())
-        });
-    if clean {
-        return Ok(());
-    }
-    // Missing file, empty file, torn header, pre-header manifest, or a
-    // torn trailing data line: rewrite as header + surviving data lines
-    // (temp file + rename, so a crash here leaves the original intact).
-    let mut out = header;
-    out.push('\n');
-    for line in text.lines() {
-        if let Ok(v) = parse(line) {
-            if v.get("point").and_then(Value::as_u64).is_some() {
-                out.push_str(line);
-                out.push('\n');
-            }
-        }
-    }
-    let tmp = path.with_extension("jsonl.tmp");
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent).map_err(CampaignError::io(parent))?;
-    }
-    std::fs::write(&tmp, out).map_err(CampaignError::io(&tmp))?;
-    std::fs::rename(&tmp, path).map_err(CampaignError::io(path))?;
-    Ok(())
-}
-
-/// Reads the completed-point map from an existing manifest, dropping the
-/// spec-echo header, a torn trailing line (crash mid-append) and anything
-/// unparseable. Unversioned lines (pre-[`MANIFEST_SCHEMA_VERSION`]
-/// manifests) load fine; a line stamped with a newer schema is an error —
-/// resuming on top of it would mix shapes in one file.
-pub(crate) fn load_manifest(path: &Path) -> Result<BTreeMap<u64, String>, CampaignError> {
+    let header = manifest_header(spec);
     let mut done = BTreeMap::new();
-    let text = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(done),
-        Err(e) => return Err(CampaignError::io(path)(e)),
-    };
-    for line in text.lines() {
-        if let Ok(v) = parse(line) {
-            let version = v.get("schema_version").and_then(Value::as_u64).unwrap_or(0);
-            if version > MANIFEST_SCHEMA_VERSION as u64 {
-                return Err(CampaignError::Manifest(format!(
-                    "{} has schema_version {version}, newer than the supported {}",
-                    path.display(),
-                    MANIFEST_SCHEMA_VERSION
-                )));
-            }
-            if let Some(id) = v.get("point").and_then(Value::as_u64) {
-                done.insert(id, line.to_string());
-            }
+    for (i, line) in intact.split_terminator('\n').enumerate() {
+        let record = parse(line).map_err(|e| fail(i, format!("not JSON: {e}")))?;
+        let version = record.get("schema_version");
+        if version.and_then(Value::as_u64) != Some(u64::from(MANIFEST_SCHEMA_VERSION)) {
+            let found = version.map_or("none".to_string(), Value::to_json);
+            return Err(fail(
+                i,
+                format!("schema_version {found}, but this build reads version {MANIFEST_SCHEMA_VERSION} only"),
+            ));
         }
+        let id = record.get("point");
+        if i == 0 {
+            if line != header {
+                let problem = match record.get("spec") {
+                    Some(echo) if id.is_none() => format!(
+                        "echoes a different spec (named {}); refusing to mix campaigns",
+                        echo.get("name").map_or("none".to_string(), Value::to_json)
+                    ),
+                    _ => "not a spec-echo header".to_string(),
+                };
+                return Err(fail(i, problem));
+            }
+            continue;
+        }
+        let id = id
+            .and_then(Value::as_u64)
+            .ok_or_else(|| fail(i, "no point id".to_string()))?;
+        if id >= points {
+            return Err(fail(
+                i,
+                format!("point {id} is outside the grid of {points} points"),
+            ));
+        }
+        if done.insert(id, line.to_string()).is_some() {
+            return Err(fail(i, format!("point {id} is recorded twice")));
+        }
+    }
+    if intact.len() < text.len() || intact.is_empty() {
+        write_manifest(path, spec, &done)?;
     }
     Ok(done)
 }
@@ -514,9 +505,7 @@ pub(crate) fn write_artifact_file(
     path: &Path,
     done: &BTreeMap<u64, String>,
 ) -> Result<PathBuf, CampaignError> {
-    let spec_json =
-        mmhew_obs::json::to_string(spec).map_err(|e| CampaignError::Render(e.to_string()))?;
-    let mut out = format!("{{\"spec\":{spec_json},\"points\":[\n");
+    let mut out = format!("{{\"spec\":{},\"points\":[\n", spec.to_json());
     for (i, line) in done.values().enumerate() {
         if i > 0 {
             out.push_str(",\n");
@@ -533,6 +522,8 @@ pub(crate) fn write_artifact_file(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mmhew_util::{prop, Xoshiro256StarStar};
+    use rand::Rng;
 
     #[test]
     fn shard_decomposition_covers_reps_exactly() {
@@ -561,7 +552,7 @@ mod tests {
         // Execution-shape knobs must NOT enter the derivation.
         a = SweepSpec::smoke();
         a.reps += 10;
-        a.hist_bins += 1;
+        a.budget += 1;
         assert_eq!(s1, point_seed(&a, 2));
     }
 
@@ -687,59 +678,101 @@ mod tests {
         ));
     }
 
+    /// A fresh directory for one test's manifests.
+    fn fresh_dir(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("mmhew-campaign-{name}"));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).expect("mkdir");
+        dir
+    }
+
+    /// The smoke campaign's manifest, complete: header plus four lines.
+    fn smoke_manifest_lines() -> Vec<String> {
+        let spec = SweepSpec::smoke();
+        let mut lines = vec![manifest_header(&spec)];
+        for point in spec.expand() {
+            lines.push(run_point_line(&spec, &point).expect("line"));
+        }
+        lines
+    }
+
     #[test]
     fn manifest_loader_drops_torn_lines_and_header() {
-        let dir = std::env::temp_dir().join("mmhew-campaign-torn");
-        std::fs::create_dir_all(&dir).expect("mkdir");
+        let dir = fresh_dir("torn");
         let path = dir.join("m.jsonl");
-        let header = manifest_header(&SweepSpec::smoke());
-        std::fs::write(
-            &path,
-            format!("{header}\n{{\"point\":0,\"mean\":1}}\n{{\"point\":1,\"me"),
-        )
-        .expect("write");
-        let done = load_manifest(&path).expect("load");
-        assert_eq!(done.len(), 1);
-        assert!(done.contains_key(&0));
-        std::fs::remove_file(&path).ok();
+        let spec = SweepSpec::smoke();
+        let lines = smoke_manifest_lines();
+        let torn = &lines[2][..lines[2].len() / 2];
+        std::fs::write(&path, format!("{}\n{}\n{torn}", lines[0], lines[1])).expect("write");
+        let done = resume_manifest(&path, &spec, 4).expect("load");
+        assert_eq!(done.keys().copied().collect::<Vec<_>>(), vec![0]);
+        assert_eq!(done[&0], lines[1]);
+        // The torn line is gone from the file too, so the next append
+        // starts on a fresh line.
+        assert_eq!(
+            std::fs::read_to_string(&path).expect("read"),
+            format!("{}\n{}\n", lines[0], lines[1])
+        );
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn manifest_loader_versioning() {
-        let dir = std::env::temp_dir().join("mmhew-campaign-schema");
-        std::fs::create_dir_all(&dir).expect("mkdir");
+        let dir = fresh_dir("schema");
+        let spec = SweepSpec::smoke();
+        let lines = smoke_manifest_lines();
+        let current = format!("\"schema_version\":{MANIFEST_SCHEMA_VERSION}");
 
-        // Unversioned (pre-stamp) and current-version lines both load.
+        // Only the current version loads; an older one (whose spec echo
+        // also differs) is refused by its version, as are a newer one and
+        // an unversioned line.
         let ok = dir.join("ok.jsonl");
-        std::fs::write(
-            &ok,
-            "{\"point\":0,\"mean\":1}\n{\"schema_version\":1,\"point\":1,\"mean\":2}\n",
-        )
-        .expect("write");
-        let done = load_manifest(&ok).expect("load");
-        assert_eq!(done.len(), 2);
-
-        // A newer stamp is an error, not a silent misread.
-        let newer = dir.join("newer.jsonl");
-        std::fs::write(&newer, "{\"schema_version\":999,\"point\":0,\"mean\":1}\n").expect("write");
-        let err = load_manifest(&newer).expect_err("must refuse");
-        assert!(err.to_string().contains("newer than the supported"));
-
-        std::fs::remove_file(&ok).ok();
-        std::fs::remove_file(&newer).ok();
+        std::fs::write(&ok, format!("{}\n{}\n", lines[0], lines[1])).expect("write");
+        assert_eq!(resume_manifest(&ok, &spec, 4).expect("load").len(), 1);
+        for (stamp, found) in [
+            ("\"schema_version\":1", "1"),
+            ("\"schema_version\":999", "999"),
+            ("\"schema_version\":\"2\"", "\"2\""),
+        ] {
+            for line in [1, 2] {
+                let path = dir.join(format!("v{found}-{line}.jsonl"));
+                let mut text = lines[..2].to_vec();
+                text[line - 1] = text[line - 1].replace(&current, stamp);
+                if line == 1 {
+                    text[0] = text[0].replace("\"budget\"", "\"hist-bins\":20,\"budget\"");
+                }
+                std::fs::write(&path, text.join("\n") + "\n").expect("write");
+                let err = resume_manifest(&path, &spec, 4).expect_err("must refuse");
+                let msg = err.to_string();
+                assert!(
+                    matches!(err, CampaignError::Manifest { line: l, .. } if l == line),
+                    "{msg}"
+                );
+                assert!(msg.contains(&format!("schema_version {found}")), "{msg}");
+                assert!(!msg.contains("different spec"), "{msg}");
+            }
+        }
+        let bare = dir.join("bare.jsonl");
+        let unversioned = lines[1].replace(&format!("{current},"), "");
+        std::fs::write(&bare, format!("{}\n{unversioned}\n", lines[0])).expect("write");
+        let msg = resume_manifest(&bare, &spec, 4)
+            .expect_err("refused")
+            .to_string();
+        assert!(msg.contains("line 2: schema_version none"), "{msg}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn header_rewrite_tolerates_torn_and_legacy_manifests() {
-        let dir = std::env::temp_dir().join("mmhew-campaign-header");
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).expect("mkdir");
+        let dir = fresh_dir("header");
         let spec = SweepSpec::smoke();
         let header = manifest_header(&spec);
 
         // Missing file: header gets created.
         let fresh = dir.join("fresh.jsonl");
-        ensure_manifest_header(&fresh, &spec).expect("create");
+        assert!(resume_manifest(&fresh, &spec, 4)
+            .expect("create")
+            .is_empty());
         assert_eq!(
             std::fs::read_to_string(&fresh).expect("read"),
             format!("{header}\n")
@@ -748,37 +781,259 @@ mod tests {
         // Torn header (crash mid-initial-write): rewritten, not an abort.
         let torn = dir.join("torn.jsonl");
         std::fs::write(&torn, &header[..header.len() / 2]).expect("write");
-        ensure_manifest_header(&torn, &spec).expect("rewrite");
+        assert!(resume_manifest(&torn, &spec, 4)
+            .expect("rewrite")
+            .is_empty());
         assert_eq!(
             std::fs::read_to_string(&torn).expect("read"),
             format!("{header}\n")
         );
 
-        // Legacy manifest (data lines, no header): header prepended, data
-        // lines preserved verbatim; a torn final data line is dropped.
+        // A legacy manifest (unversioned data lines, no header) is refused
+        // by its version on its first line, and left as it was.
         let legacy = dir.join("legacy.jsonl");
-        std::fs::write(
-            &legacy,
-            "{\"point\":0,\"mean\":1}\n{\"point\":1,\"mean\":2}\n{\"point\":2,\"me",
-        )
-        .expect("write");
-        ensure_manifest_header(&legacy, &spec).expect("rewrite");
-        assert_eq!(
-            std::fs::read_to_string(&legacy).expect("read"),
-            format!("{header}\n{{\"point\":0,\"mean\":1}}\n{{\"point\":1,\"mean\":2}}\n")
-        );
+        let old = "{\"point\":0,\"mean\":1}\n{\"point\":1,\"me";
+        std::fs::write(&legacy, old).expect("write");
+        let msg = resume_manifest(&legacy, &spec, 4)
+            .expect_err("refused")
+            .to_string();
+        assert!(msg.contains("line 1: schema_version none"), "{msg}");
+        assert_eq!(std::fs::read_to_string(&legacy).expect("read"), old);
 
-        // Intact matching header: file left byte-identical.
-        let before = std::fs::read(&legacy).expect("read");
-        ensure_manifest_header(&legacy, &spec).expect("noop");
-        assert_eq!(std::fs::read(&legacy).expect("read"), before);
+        // Intact matching manifest: file left byte-identical.
+        let lines = smoke_manifest_lines();
+        let intact = dir.join("intact.jsonl");
+        std::fs::write(&intact, lines.join("\n") + "\n").expect("write");
+        let before = std::fs::read(&intact).expect("read");
+        assert_eq!(resume_manifest(&intact, &spec, 4).expect("noop").len(), 4);
+        assert_eq!(std::fs::read(&intact).expect("read"), before);
 
         // Intact header for a different spec: hard error.
         let mut other = SweepSpec::smoke();
         other.seed ^= 1;
-        let err = ensure_manifest_header(&legacy, &other).expect_err("must refuse");
-        assert!(err.to_string().contains("different spec"));
+        let err = resume_manifest(&intact, &other, 4).expect_err("must refuse");
+        assert!(err.to_string().contains("different spec"), "{err}");
+
+        // A data line where the header belongs is no header.
+        let headless = dir.join("headless.jsonl");
+        std::fs::write(&headless, lines[1..].join("\n") + "\n").expect("write");
+        let msg = resume_manifest(&headless, &spec, 4)
+            .expect_err("refused")
+            .to_string();
+        assert!(msg.contains("line 1: not a spec-echo header"), "{msg}");
 
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn out_of_grid_and_repeated_point_ids_are_named() {
+        let dir = fresh_dir("ids");
+        let spec = SweepSpec::smoke();
+        let lines = smoke_manifest_lines();
+        let renumber =
+            |line: &str, id: &str| line.replacen("\"point\":0", &format!("\"point\":{id}"), 1);
+        for (extra, problem) in [
+            (
+                renumber(&lines[1], "999"),
+                "point 999 is outside the grid of 4 points",
+            ),
+            (
+                renumber(&lines[1], "4"),
+                "point 4 is outside the grid of 4 points",
+            ),
+            (renumber(&lines[1], "-1"), "no point id"),
+            (renumber(&lines[1], "1e400"), "no point id"),
+            (renumber(&lines[1], "1.5"), "no point id"),
+            (lines[1].clone(), "point 0 is recorded twice"),
+        ] {
+            let path = dir.join("m.jsonl");
+            std::fs::write(
+                &path,
+                format!("{}\n{}\n{}\n{extra}\n", lines[0], lines[1], lines[2]),
+            )
+            .expect("write");
+            let msg = resume_manifest(&path, &spec, 4)
+                .expect_err(problem)
+                .to_string();
+            assert!(msg.contains(&format!("line 4: {problem}")), "{msg}");
+            assert!(msg.contains(&path.display().to_string()), "{msg}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// One hostile stand-in for a manifest line, built from a real one.
+    fn hostile_line(rng: &mut Xoshiro256StarStar, lines: &[String]) -> String {
+        let base = &lines[rng.gen_range(0..lines.len())];
+        let current = format!("\"schema_version\":{MANIFEST_SCHEMA_VERSION}");
+        let pick = |rng: &mut Xoshiro256StarStar, items: &[&str]| {
+            items[rng.gen_range(0..items.len())].to_string()
+        };
+        match rng.gen_range(0..9u32) {
+            0 => {
+                let bytes = b"{}[]\",:0123456789.e-abc \\";
+                (0..rng.gen_range(0..48usize))
+                    .map(|_| char::from(bytes[rng.gen_range(0..bytes.len())]))
+                    .collect()
+            }
+            1 => {
+                let version = pick(rng, &["0", "1", "3", "-1", "2.5", "1e400", "\"2\"", "null"]);
+                base.replacen(&current, &format!("\"schema_version\":{version}"), 1)
+            }
+            2 => base.replacen(&format!("{current},"), "", 1),
+            3 => {
+                let at = base
+                    .find("\"point\":")
+                    .map_or(0, |i| i + "\"point\":".len());
+                let digits = base[at..].find(|c: char| !c.is_ascii_digit()).unwrap_or(0);
+                let id = pick(
+                    rng,
+                    &[
+                        "3",
+                        "4",
+                        "999",
+                        "-1",
+                        "1.5",
+                        "1e400",
+                        "18446744073709551616",
+                        "\"1\"",
+                        "null",
+                    ],
+                );
+                format!("{}{id}{}", &base[..at], &base[at + digits..])
+            }
+            4 => {
+                let mut other = SweepSpec::smoke();
+                other.name = "other".to_string();
+                manifest_header(&other)
+            }
+            5 => format!("{}{base}", " ".repeat(rng.gen_range(0..1usize << 17))),
+            6 => format!(
+                "{}{}",
+                "[".repeat(rng.gen_range(100..300usize)),
+                "]".repeat(3)
+            ),
+            7 => "9".repeat(rng.gen_range(300..1usize << 16)),
+            _ => {
+                let mut cut = rng.gen_range(0..base.len());
+                while !base.is_char_boundary(cut) {
+                    cut -= 1;
+                }
+                base[..cut].to_string()
+            }
+        }
+    }
+
+    /// Torn, hostile, huge and repeated lines, other schema versions and
+    /// out-of-grid ids: every manifest either loads, keeping only intact
+    /// current-version lines of grid points, or fails naming its file and
+    /// line. Nothing panics, and a resume from what loads completes the
+    /// artifact with every grid point exactly once.
+    #[test]
+    fn hostile_manifests_load_or_fail_by_name() {
+        let dir = fresh_dir("hostile");
+        let spec = SweepSpec::smoke();
+        let points = spec.expand().len() as u64;
+        let lines = smoke_manifest_lines();
+        let path = dir.join("smoke.manifest.jsonl");
+        let artifact = dir.join("smoke.campaign.json");
+        prop::check("hostile_manifests_load_or_fail_by_name", 384, |rng| {
+            let mut doc = lines[..rng.gen_range(1..=lines.len())].to_vec();
+            for _ in 0..rng.gen_range(0..3u32) {
+                let at = rng.gen_range(0..=doc.len());
+                match rng.gen_range(0..4u32) {
+                    0 if at < doc.len() => doc[at] = hostile_line(rng, &lines),
+                    1 if at < doc.len() => {
+                        doc.remove(at);
+                    }
+                    2 if at > 1 => {
+                        let copy = doc[rng.gen_range(1..at)].clone();
+                        doc.insert(at, copy);
+                    }
+                    _ => doc.insert(at, hostile_line(rng, &lines)),
+                }
+            }
+            let mut text = doc.join("\n");
+            if rng.gen_bool(0.8) {
+                text.push('\n');
+            }
+            if rng.gen_bool(0.2) && !text.is_empty() {
+                let mut cut = rng.gen_range(0..text.len());
+                while !text.is_char_boundary(cut) {
+                    cut -= 1;
+                }
+                text.truncate(cut);
+            }
+            std::fs::write(&path, &text).expect("write");
+            let done = match resume_manifest(&path, &spec, points) {
+                Ok(done) => done,
+                Err(e) => {
+                    let msg = e.to_string();
+                    assert!(matches!(e, CampaignError::Manifest { .. }), "{msg}");
+                    assert!(msg.contains(&path.display().to_string()), "{msg}");
+                    return;
+                }
+            };
+            for (id, line) in &done {
+                assert!(*id < points, "{text}");
+                assert!(text.split('\n').any(|l| l == line), "{text}");
+            }
+            assert_eq!(
+                resume_manifest(&path, &spec, points).expect("a loaded manifest reloads"),
+                done
+            );
+            let mut opts = crate::CampaignOptions::new(&dir);
+            opts.resume = true;
+            let outcome = crate::run_campaign(&spec, &opts).expect("resume completes");
+            assert_eq!(outcome.skipped, done.len());
+            let written = std::fs::read_to_string(&artifact).expect("artifact");
+            let ids: Vec<u64> = parse(&written)
+                .expect("artifact is JSON")
+                .get("points")
+                .and_then(Value::as_arr)
+                .expect("points")
+                .iter()
+                .map(|p| p.get("point").and_then(Value::as_u64).expect("id"))
+                .collect();
+            assert_eq!(ids, (0..points).collect::<Vec<_>>(), "{text}");
+        });
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn quantiles_are_exact_order_statistics_of_the_reps() {
+        let spec = SweepSpec::from_json(
+            r#"{"name":"quantiles","topology":"complete","reps":9,"seed":5,
+                "budget":200000,"axes":{"nodes":[5],"universe":[4]}}"#,
+        )
+        .expect("valid spec");
+        let point = &spec.expand()[0];
+        let ctx = compile_point(&spec, point).expect("compiles");
+        let times: Vec<f64> = (0..spec.reps)
+            .filter_map(|rep| run_rep(&ctx, rep).expect("runs"))
+            .collect();
+        assert_eq!(times.len() as u64, spec.reps, "every rep completes");
+        let line = run_point_line(&spec, point).expect("line");
+        let v = parse(&line).expect("JSON");
+        let field = |key: &str| v.get(key).and_then(Value::as_f64).expect(key);
+        for (key, q) in [("p50", 0.5), ("p90", 0.9), ("p99", 0.99)] {
+            assert_eq!(field(key), quantile(&times, q), "{key} of {line}");
+            assert!(
+                (field("min")..=field("max")).contains(&field(key)),
+                "{line}"
+            );
+        }
+    }
+
+    #[test]
+    fn points_with_no_completion_write_null_statistics() {
+        let mut spec = SweepSpec::smoke();
+        spec.budget = 1;
+        let line = run_point(&spec, 3).expect("runs");
+        let v = parse(&line).expect("JSON");
+        assert_eq!(v.get("completed").and_then(Value::as_u64), Some(0));
+        assert_eq!(v.get("failures").and_then(Value::as_u64), Some(spec.reps));
+        for key in ["mean", "stddev", "min", "max", "p50", "p90", "p99"] {
+            assert_eq!(v.get(key), Some(&Value::Null), "{key} of {line}");
+        }
     }
 }

@@ -25,12 +25,12 @@
 //! The manifest `<out>/<name>.manifest.jsonl` opens with a spec-echo
 //! header line, then gains one JSON line per completed point after each
 //! chunk (a whole line per `write`, so a crash leaves at most one torn
-//! final line, which resume discards; a torn *header* is rewritten). The
-//! final artifact `<out>/<name>.campaign.json` is rendered from the
-//! manifest lines sorted by point id and written via temp-file rename, so
-//! an interrupted-then-resumed campaign produces a byte-identical
-//! artifact to an uninterrupted one. The mechanics live in
-//! [`crate::points`].
+//! final line, which resume discards; any other defect fails the resume
+//! by name). The final artifact `<out>/<name>.campaign.json` echoes the
+//! spec in its canonical form and the manifest lines sorted by point id,
+//! written via temp-file rename, so an interrupted-then-resumed campaign
+//! produces a byte-identical artifact to an uninterrupted one. The
+//! mechanics live in [`crate::points`].
 
 use crate::points::{self, Agg};
 use crate::spec::{Point, SweepSpec};
@@ -99,10 +99,17 @@ pub enum CampaignError {
         /// The underlying failure.
         source: std::io::Error,
     },
-    /// An existing manifest cannot be consumed (e.g. it was written by a
-    /// newer schema than this binary understands, or belongs to a
-    /// different spec).
-    Manifest(String),
+    /// An existing manifest cannot be resumed: line `line` (from 1) of
+    /// `path` is unusable, for the reason `problem` gives (another schema
+    /// version, another spec, a point outside the grid, …).
+    Manifest {
+        /// The manifest file.
+        path: PathBuf,
+        /// The offending line, counted from 1.
+        line: usize,
+        /// What is wrong with it.
+        problem: String,
+    },
     /// A record failed to serialize (should not happen).
     Render(String),
     /// [`crate::points::run_point`] was asked for an id outside the grid.
@@ -118,7 +125,11 @@ impl fmt::Display for CampaignError {
             CampaignError::Io { path, source } => {
                 write!(f, "campaign I/O failed on {}: {source}", path.display())
             }
-            CampaignError::Manifest(e) => write!(f, "manifest unusable: {e}"),
+            CampaignError::Manifest {
+                path,
+                line,
+                problem,
+            } => write!(f, "manifest {} line {line}: {problem}", path.display()),
             CampaignError::Render(e) => write!(f, "record serialization failed: {e}"),
             CampaignError::UnknownPoint(id) => write!(f, "point {id} is outside the grid"),
         }
@@ -173,11 +184,11 @@ fn run_chunk(spec: &SweepSpec, chunk: &[&Point]) -> Result<Vec<String>, Campaign
     // never influence results.
     let shard_results = parallel_reps(tasks.len() as u64, SeedTree::new(0), |t, _seed| {
         let (i, start, len) = tasks[t as usize];
-        points::run_shard(spec, &contexts[i], start, len)
+        points::run_shard(&contexts[i], start, len)
     });
-    let mut aggs: Vec<Agg> = contexts.iter().map(|_| Agg::new(spec)).collect();
+    let mut aggs: Vec<Agg> = contexts.iter().map(|_| Agg::new()).collect();
     for ((i, _, _), result) in tasks.iter().zip(shard_results) {
-        aggs[*i].merge(&result?);
+        aggs[*i].merge(result?);
     }
     chunk
         .iter()
@@ -209,18 +220,15 @@ pub fn run_campaign(
     spec.validate()?;
     std::fs::create_dir_all(&opts.out_dir).map_err(CampaignError::io(&opts.out_dir))?;
     let manifest = manifest_path(spec, opts);
+    let all = spec.expand();
     let mut done = if opts.resume {
-        points::ensure_manifest_header(&manifest, spec)?;
-        points::load_manifest(&manifest)?
+        points::resume_manifest(&manifest, spec, all.len() as u64)?
     } else {
-        if manifest.exists() {
-            std::fs::remove_file(&manifest).map_err(CampaignError::io(&manifest))?;
-        }
-        points::ensure_manifest_header(&manifest, spec)?;
-        BTreeMap::new()
+        let done = BTreeMap::new();
+        points::write_manifest(&manifest, spec, &done)?;
+        done
     };
 
-    let all = spec.expand();
     let pending: Vec<&Point> = all.iter().filter(|p| !done.contains_key(&p.id)).collect();
     let skipped = all.len() - pending.len();
     let allowance = opts.max_points.unwrap_or(pending.len()).min(pending.len());

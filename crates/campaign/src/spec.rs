@@ -32,12 +32,10 @@
 //! it.
 
 use mmhew_obs::value::{parse, ParseError, Value};
-use serde::Serialize;
 use std::fmt;
 
 /// Which simulation engine a spec drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-#[serde(rename_all = "lowercase")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EngineKind {
     /// Slot-synchronous ([`mmhew_discovery::Scenario::sync`]).
     Sync,
@@ -45,15 +43,13 @@ pub enum EngineKind {
     /// executor ([`mmhew_discovery::Engine::Event`]). Outcomes are
     /// byte-identical to [`EngineKind::Sync`] at the same seed, so the
     /// same algorithms and axes apply; only wall-clock differs.
-    #[serde(rename = "sync-event")]
     SyncEvent,
     /// Unsynchronized clocks ([`mmhew_discovery::Scenario::asynchronous`]).
     Async,
 }
 
 /// How multiple axes combine into points.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-#[serde(rename_all = "lowercase")]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GridMode {
     /// Cartesian product of all axes (last axis varies fastest).
     Cartesian,
@@ -62,7 +58,7 @@ pub enum GridMode {
 }
 
 /// One swept parameter: a known axis name and its value list.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AxisSpec {
     /// Axis name (one of [`AXES`]).
     pub name: String,
@@ -119,12 +115,24 @@ const MAX_POINTS: u64 = 1 << 20;
 /// repetitions in memory.
 const MAX_REPS: u64 = 1 << 20;
 
-/// Most histogram bins per point; every shard allocates them.
-const MAX_HIST_BINS: usize = 1 << 16;
+/// The top-level keys of a spec document, in canonical order.
+const SPEC_KEYS: &[&str] = &[
+    "name",
+    "engine",
+    "algorithm",
+    "topology",
+    "edge-prob",
+    "mode",
+    "reps",
+    "seed",
+    "budget",
+    "churn-downtime",
+    "axes",
+];
 
 /// A complete sweep description. See the [module docs](self) for the JSON
 /// shape; construct programmatically for built-ins like [`SweepSpec::smoke`].
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepSpec {
     /// Campaign name: file-name-safe (`[A-Za-z0-9._-]+`), keyed into the
     /// seed derivation so renaming a campaign re-randomizes it.
@@ -146,8 +154,6 @@ pub struct SweepSpec {
     pub seed: u64,
     /// Slot (sync) / frame (async) budget per repetition.
     pub budget: u64,
-    /// Bins of the per-point completion-time histogram.
-    pub hist_bins: usize,
     /// Mean downtime (slots) of churned nodes when `churn-rate` is swept.
     pub churn_downtime: f64,
     /// The categorical `protocol` axis: catalog names
@@ -156,7 +162,6 @@ pub struct SweepSpec {
     /// and multiplies the numeric grid (even in zip mode), varying
     /// slowest. Kept out of `axes` because its values are strings, not
     /// numbers.
-    #[serde(skip_serializing_if = "Vec::is_empty")]
     pub protocols: Vec<String>,
     /// The swept numeric axes, in declaration order.
     pub axes: Vec<AxisSpec>,
@@ -164,12 +169,11 @@ pub struct SweepSpec {
 
 /// One grid point: an id, the protocol (when the categorical `protocol`
 /// axis is swept), and the swept numeric axes' values.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Point {
     /// Position in the expansion order; stable for a given spec.
     pub id: u64,
     /// Catalog protocol name when the `protocol` axis is swept.
-    #[serde(skip_serializing_if = "Option::is_none")]
     pub protocol: Option<String>,
     /// `(axis name, value)` pairs in the spec's axis order.
     pub values: Vec<(String, f64)>,
@@ -201,6 +205,9 @@ pub enum SpecError {
     Json(ParseError),
     /// A required field is missing or has the wrong type.
     Field(&'static str),
+    /// A top-level key the spec format does not have (a typo, or a key
+    /// an older format had).
+    UnknownKey(String),
     /// A field has a structurally valid but unacceptable value.
     Invalid(String),
 }
@@ -210,6 +217,11 @@ impl fmt::Display for SpecError {
         match self {
             SpecError::Json(e) => write!(f, "spec is not valid JSON: {e}"),
             SpecError::Field(name) => write!(f, "spec field {name:?} missing or wrong type"),
+            SpecError::UnknownKey(key) => write!(
+                f,
+                "unknown spec key {key:?} (accepted: {})",
+                SPEC_KEYS.join(", ")
+            ),
             SpecError::Invalid(msg) => write!(f, "invalid spec: {msg}"),
         }
     }
@@ -222,17 +234,25 @@ impl SweepSpec {
     ///
     /// Only `name` and `axes` are required; everything else defaults
     /// (`sync` / `staged` / `complete` / `cartesian`, 5 reps, seed 1,
-    /// budget 1 000 000, 50 histogram bins). An axis may be given as a
-    /// single number as shorthand for a one-element list (pinning it
-    /// without sweeping).
+    /// budget 1 000 000). An axis may be given as a single number as
+    /// shorthand for a one-element list (pinning it without sweeping).
     ///
     /// # Errors
     ///
-    /// Returns [`SpecError`] on malformed JSON, missing fields, unknown
-    /// axes / algorithms / topologies, inconsistent grids, or numbers
-    /// outside the bounds [`SweepSpec::validate`] enforces.
+    /// Returns [`SpecError`] on malformed JSON, unknown top-level keys,
+    /// missing fields, unknown axes / algorithms / topologies,
+    /// inconsistent grids, or numbers outside the bounds
+    /// [`SweepSpec::validate`] enforces.
     pub fn from_json(text: &str) -> Result<Self, SpecError> {
         let doc = parse(text).map_err(SpecError::Json)?;
+        if let Value::Obj(fields) = &doc {
+            if let Some((key, _)) = fields
+                .iter()
+                .find(|(k, _)| !SPEC_KEYS.contains(&k.as_str()))
+            {
+                return Err(SpecError::UnknownKey(key.clone()));
+            }
+        }
         let name = doc
             .get("name")
             .and_then(Value::as_str)
@@ -345,7 +365,6 @@ impl SweepSpec {
             reps: field_u64("reps", 5)?,
             seed: field_u64("seed", 1)?,
             budget: field_u64("budget", 1_000_000)?,
-            hist_bins: field_u64("hist-bins", 50)? as usize,
             churn_downtime: field_f64("churn-downtime", 2_000.0)?,
             protocols,
             axes,
@@ -380,7 +399,7 @@ impl SweepSpec {
         let _ = write!(
             out,
             ",\"edge-prob\":{},\"mode\":\"{}\",\"reps\":{},\"seed\":{},\"budget\":{},\
-             \"hist-bins\":{},\"churn-downtime\":{},\"axes\":{{",
+             \"churn-downtime\":{},\"axes\":{{",
             self.edge_prob,
             match self.mode {
                 GridMode::Cartesian => "cartesian",
@@ -389,7 +408,6 @@ impl SweepSpec {
             self.reps,
             self.seed,
             self.budget,
-            self.hist_bins,
             self.churn_downtime
         );
         // Canonical position: the categorical protocol axis always leads
@@ -436,7 +454,6 @@ impl SweepSpec {
             reps: 2,
             seed: 7,
             budget: 200_000,
-            hist_bins: 20,
             churn_downtime: 2_000.0,
             protocols: vec![],
             axes: vec![
@@ -455,8 +472,8 @@ impl SweepSpec {
     }
 
     /// Checks every invariant the campaign engine relies on, including a
-    /// bound on every number the spec carries: at most 2²⁰ points, 2²⁰
-    /// repetitions and 2¹⁶ histogram bins; `edge-prob` in `[0, 1]`; a
+    /// bound on every number the spec carries: at most 2²⁰ points and
+    /// 2²⁰ repetitions; `edge-prob` in `[0, 1]`; a
     /// positive finite `churn-downtime`; and integral axes (`nodes`,
     /// `universe`, `avail`, `delta-est`, `jam`, `robust`,
     /// `start-window`) holding integers that fit the type each point
@@ -502,9 +519,6 @@ impl SweepSpec {
         }
         if self.budget == 0 {
             return err("budget must be positive".to_string());
-        }
-        if !(1..=MAX_HIST_BINS).contains(&self.hist_bins) {
-            return err(format!("hist-bins must be in 1..={MAX_HIST_BINS}"));
         }
         if !(0.0..=1.0).contains(&self.edge_prob) {
             return err(format!("edge-prob {} must be in [0, 1]", self.edge_prob));
@@ -823,6 +837,27 @@ mod tests {
     }
 
     #[test]
+    fn unknown_top_level_keys_are_named_with_the_accepted_list() {
+        for key in ["budjet", "hist-bins", "axis"] {
+            let text = format!(r#"{{"name": "t", "{key}": 5, "axes": {{"nodes": [4]}}}}"#);
+            let e = SweepSpec::from_json(&text).expect_err("must fail");
+            assert_eq!(e, SpecError::UnknownKey(key.to_string()));
+            let msg = e.to_string();
+            assert!(msg.contains(&format!("{key:?}")), "{msg}");
+            assert!(msg.contains("budget") && msg.contains("axes"), "{msg}");
+        }
+    }
+
+    #[test]
+    fn canonical_json_writes_every_accepted_key_in_order() {
+        let Value::Obj(fields) = parse(&SweepSpec::smoke().to_json()).expect("parses") else {
+            panic!("a spec is an object");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+        assert_eq!(keys, SPEC_KEYS);
+    }
+
+    #[test]
     fn storage_cap_rejects_oversized_grid_points_with_the_estimate() {
         let bad = |text: &str| SweepSpec::from_json(text).expect_err("must fail");
         // 10¹² nodes × 64 channels is far beyond any sane cap; the error
@@ -984,8 +1019,8 @@ mod tests {
                 .expect_err("must fail")
                 .to_string()
         };
-        let msg = bad(r#"{"name": "t", "hist-bins": 1e18, "axes": {"nodes": [4]}}"#);
-        assert!(msg.contains("hist-bins"), "{msg}");
+        let msg = bad(r#"{"name": "t", "reps": 1e18, "axes": {"nodes": [4]}}"#);
+        assert!(msg.contains("reps"), "{msg}");
         let msg = bad(r#"{"name": "t", "axes": {"nodes": [2.5]}}"#);
         assert!(msg.contains("\"nodes\"") && msg.contains("2.5"), "{msg}");
         let msg = bad(r#"{"name": "t", "axes": {"universe": [1e15]}}"#);
@@ -1025,7 +1060,8 @@ mod tests {
         "-1e400",
         "2e19",
     ];
-    /// Top-level spec fields a mutation may write.
+    /// Top-level spec fields a mutation may write, and `hist-bins`, a key
+    /// an older format had.
     const TOP_KEYS: &[&str] = &[
         "hist-bins",
         "reps",
@@ -1091,10 +1127,6 @@ mod tests {
     /// Every bound `validate` promises, checked on an accepted spec.
     fn assert_bounded(spec: &SweepSpec, text: &str) {
         assert!((1..=MAX_REPS).contains(&spec.reps), "reps of {text}");
-        assert!(
-            (1..=MAX_HIST_BINS).contains(&spec.hist_bins),
-            "hist-bins of {text}"
-        );
         assert!((0.0..=1.0).contains(&spec.edge_prob), "edge-prob of {text}");
         assert!(
             spec.churn_downtime.is_finite() && spec.churn_downtime > 0.0,

@@ -1,7 +1,8 @@
 //! Negative-path coverage of the `campaign` CLI: a rejected spec must
-//! name the offending axis and list the accepted values, so a typo in a
-//! 40-line sweep file is a ten-second fix rather than an archaeology dig,
-//! and a failed file operation must name its path.
+//! name the offending axis or key and list the accepted values, so a typo
+//! in a 40-line sweep file is a ten-second fix rather than an archaeology
+//! dig, a failed file operation must name its path, and a flag the binary
+//! does not read, or a value it cannot take, exits 2 naming the flag.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -152,4 +153,81 @@ fn out_dir_that_is_a_file_is_named_in_the_error() {
         !stderr.contains("panicked"),
         "named error, no panic: {stderr}"
     );
+}
+
+#[test]
+fn unknown_spec_key_is_rejected_with_the_accepted_keys() {
+    let (stderr, ok) = run_spec(
+        "unknown-key",
+        r#"{"name": "typo", "budjet": 5, "axes": {"nodes": [4]}}"#,
+    );
+    assert!(!ok, "a misspelled key must not run with the default budget");
+    assert!(stderr.contains("unknown spec key \"budjet\""), "{stderr}");
+    assert!(
+        stderr.contains("budget") && stderr.contains("axes"),
+        "lists the accepted keys: {stderr}"
+    );
+}
+
+/// Runs the campaign binary, returning (stdout, stderr, exit code).
+fn campaign(args: &[&str]) -> (String, String, Option<i32>) {
+    let out = Command::new(env!("CARGO_BIN_EXE_campaign"))
+        .args(args)
+        .output()
+        .expect("spawn campaign");
+    (
+        String::from_utf8_lossy(&out.stdout).into_owned(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+        out.status.code(),
+    )
+}
+
+#[test]
+fn unread_flags_and_bad_flag_values_exit_2_naming_the_flag() {
+    for (args, named) in [
+        (&["--smoke", "--full"][..], "--full: unknown flag"),
+        (&["--smoke", "--quick"], "--quick: unknown flag"),
+        (&["explore", "--manifest", "x", "--smoke"], "\"explore\""),
+        (&["--smoke", "--point", "999999"], "--point 999999"),
+        (&["--smoke", "--point", "4"], "--point 4"),
+        (&["--smoke", "--point", "x"], "--point x"),
+        (&["--smoke", "--jobs", "0"], "--jobs: 0 is out of range"),
+    ] {
+        let (stdout, stderr, code) = campaign(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(named),
+            "{args:?} must say {named:?}: {stderr}"
+        );
+        assert!(stdout.is_empty(), "{args:?}: nothing runs first: {stdout}");
+    }
+}
+
+#[test]
+fn point_replay_and_job_count_reproduce_the_campaign() {
+    // `--point N` prints the line the manifest holds for N, and the
+    // artifact does not depend on the worker count.
+    let dir = fresh_dir("replay");
+    let mut artifacts = Vec::new();
+    for jobs in ["1", "2"] {
+        let out_dir = dir.join(jobs);
+        let (_, stderr, code) = campaign(&[
+            "--smoke",
+            "--jobs",
+            jobs,
+            "--out",
+            out_dir.to_str().expect("utf8 path"),
+        ]);
+        assert_eq!(code, Some(0), "{stderr}");
+        artifacts.push(std::fs::read(out_dir.join("smoke.campaign.json")).expect("artifact"));
+    }
+    assert_eq!(artifacts[0], artifacts[1], "--jobs 1 and --jobs 2 agree");
+    let manifest =
+        std::fs::read_to_string(dir.join("1").join("smoke.manifest.jsonl")).expect("manifest");
+    for (id, line) in manifest.lines().skip(1).enumerate() {
+        let (stdout, stderr, code) = campaign(&["--smoke", "--point", &id.to_string()]);
+        assert_eq!(code, Some(0), "{stderr}");
+        assert_eq!(stdout, format!("{line}\n"), "point {id}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

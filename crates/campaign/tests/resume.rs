@@ -2,7 +2,10 @@
 //! produce a byte-identical artifact to an uninterrupted run, and must
 //! report the resumed points as skipped.
 
-use mmhew_campaign::{manifest_header, run_campaign, CampaignOptions, SweepSpec};
+use mmhew_campaign::{
+    manifest_header, run_campaign, CampaignError, CampaignOptions, SweepSpec,
+    MANIFEST_SCHEMA_VERSION,
+};
 use std::path::PathBuf;
 
 fn fresh_dir(name: &str) -> PathBuf {
@@ -115,7 +118,9 @@ fn resume_tolerates_a_torn_spec_echo_header() {
     opts.max_points = Some(2);
     run_campaign(&spec, &opts).expect("partial run");
     let mut bytes = std::fs::read(&manifest).expect("manifest");
-    bytes.extend_from_slice(b"{\"schema_version\":1,\"point\":2,\"par");
+    bytes.extend_from_slice(
+        format!("{{\"schema_version\":{MANIFEST_SCHEMA_VERSION},\"point\":2,\"par").as_bytes(),
+    );
     std::fs::write(&manifest, bytes).expect("tear");
     let mut opts = CampaignOptions::new(&torn_data);
     opts.resume = true;
@@ -173,6 +178,21 @@ fn protocol_axis_resume_is_byte_identical() {
 }
 
 #[test]
+fn artifact_echoes_the_spec_in_the_form_specs_are_read() {
+    let spec = SweepSpec::smoke();
+    let dir = fresh_dir("echo");
+    let outcome = run_campaign(&spec, &CampaignOptions::new(&dir)).expect("runs");
+    let text = std::fs::read_to_string(outcome.artifact.expect("artifact")).expect("read");
+    let (echoed, _) = text
+        .strip_prefix("{\"spec\":")
+        .and_then(|rest| rest.split_once(",\"points\":"))
+        .expect("the spec leads the artifact");
+    assert_eq!(echoed, spec.to_json());
+    assert_eq!(SweepSpec::from_json(echoed).expect("readable"), spec);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn resume_on_finished_campaign_skips_everything() {
     let spec = SweepSpec::smoke();
     let dir = fresh_dir("noop");
@@ -183,5 +203,77 @@ fn resume_on_finished_campaign_skips_everything() {
     assert_eq!(again.completed, 0);
     assert_eq!(again.skipped, 4);
     assert!(again.artifact.is_some(), "artifact still (re)rendered");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Runs the smoke campaign for its first `points` points, then appends
+/// point 0's line renumbered to 999, an id outside the 4-point grid.
+fn manifest_with_point_999(name: &str, points: usize) -> (PathBuf, PathBuf) {
+    let dir = fresh_dir(name);
+    let mut opts = CampaignOptions::new(&dir);
+    opts.max_points = Some(points);
+    run_campaign(&SweepSpec::smoke(), &opts).expect("partial run");
+    let manifest = dir.join("smoke.manifest.jsonl");
+    let text = std::fs::read_to_string(&manifest).expect("manifest");
+    let first = text.lines().nth(1).expect("point 0");
+    let stray = first.replacen("\"point\":0", "\"point\":999", 1);
+    std::fs::write(&manifest, format!("{text}{stray}\n")).expect("append");
+    (dir, manifest)
+}
+
+#[test]
+fn out_of_grid_point_ids_are_refused_by_name() {
+    let spec = SweepSpec::smoke();
+    for (points, max_points) in [(2, None), (1, Some(2))] {
+        let (dir, manifest) = manifest_with_point_999(&format!("stray-{points}"), points);
+        let mut opts = CampaignOptions::new(&dir);
+        opts.resume = true;
+        opts.max_points = max_points;
+        let err = run_campaign(&spec, &opts).expect_err("a stray id must not count");
+        let msg = err.to_string();
+        assert!(
+            matches!(err, CampaignError::Manifest { line, .. } if line == points + 2),
+            "{msg}"
+        );
+        assert!(
+            msg.contains("point 999 is outside the grid of 4 points"),
+            "{msg}"
+        );
+        assert!(msg.contains(&manifest.display().to_string()), "{msg}");
+        assert!(!dir.join("smoke.campaign.json").exists(), "no artifact");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
+fn older_schema_manifest_is_refused_by_its_version() {
+    // A manifest as the previous schema wrote it: version 1 on every line
+    // and a `hist-bins` key in the spec echo.
+    let spec = SweepSpec::smoke();
+    let dir = fresh_dir("schema-v1");
+    let mut opts = CampaignOptions::new(&dir);
+    opts.max_points = Some(2);
+    run_campaign(&spec, &opts).expect("partial run");
+    let manifest = dir.join("smoke.manifest.jsonl");
+    let text = std::fs::read_to_string(&manifest).expect("manifest");
+    let current = format!("\"schema_version\":{MANIFEST_SCHEMA_VERSION}");
+    let v1 = text.replace(&current, "\"schema_version\":1").replacen(
+        "\"budget\"",
+        "\"hist-bins\":20,\"budget\"",
+        1,
+    );
+    std::fs::write(&manifest, &v1).expect("write");
+    let mut opts = CampaignOptions::new(&dir);
+    opts.resume = true;
+    let msg = run_campaign(&spec, &opts)
+        .expect_err("v1 refused")
+        .to_string();
+    assert!(msg.contains("line 1: schema_version 1"), "{msg}");
+    assert!(!msg.contains("different spec"), "{msg}");
+    assert_eq!(
+        std::fs::read_to_string(&manifest).expect("read"),
+        v1,
+        "left as it was"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

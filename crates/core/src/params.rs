@@ -17,6 +17,14 @@ pub enum ProtocolError {
     /// Writing the Perfetto tee file requested via
     /// `Scenario::with_perfetto` failed (payload: the I/O error text).
     TraceWrite(String),
+    /// An asynchronous run's clock horizon does not fit the `u64`
+    /// nanosecond clock (see `mmhew_engine::AsyncRunConfig::horizon`).
+    ClockHorizon {
+        /// The configured frame budget.
+        max_frames: u64,
+        /// The configured local frame length, in nanoseconds.
+        frame_len: u64,
+    },
 }
 
 impl fmt::Display for ProtocolError {
@@ -34,6 +42,14 @@ impl fmt::Display for ProtocolError {
             ProtocolError::TraceWrite(e) => {
                 write!(f, "writing the Perfetto trace failed: {e}")
             }
+            ProtocolError::ClockHorizon {
+                max_frames,
+                frame_len,
+            } => write!(
+                f,
+                "{max_frames} frames of {frame_len} ns, with the clock offsets, starts and \
+                 drift bound, overflow the 64-bit nanosecond clock"
+            ),
         }
     }
 }

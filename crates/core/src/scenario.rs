@@ -460,8 +460,15 @@ impl<'a> AsyncScenario<'a> {
     /// # Errors
     ///
     /// Returns [`ProtocolError`] if any node's available channel set is
-    /// empty, or the termination threshold is zero.
+    /// empty, the termination threshold is zero, or the configuration's
+    /// [`AsyncRunConfig::horizon`] overflows the nanosecond clock.
     pub fn run(self, seed: SeedTree) -> Result<AsyncOutcome, ProtocolError> {
+        if self.config.horizon().is_none() {
+            return Err(ProtocolError::ClockHorizon {
+                max_frames: self.config.max_frames,
+                frame_len: self.config.frame_len.as_nanos(),
+            });
+        }
         let mut protocols = build_async_protocols(self.network, self.algorithm)?;
         if let Some(quiet_frames) = self.terminating {
             protocols = protocols
@@ -603,5 +610,78 @@ mod tests {
         .run(SeedTree::new(5))
         .expect_err("zero threshold");
         assert_eq!(err, ProtocolError::ZeroDegreeEstimate);
+    }
+
+    fn frame_based() -> AsyncAlgorithm {
+        AsyncAlgorithm::FrameBased(crate::params::AsyncParams::new(3).expect("valid"))
+    }
+
+    #[test]
+    fn clock_horizon_past_the_u64_clock_is_a_named_error() {
+        // The frame length `simulate --frame-len 18446744073709551615`
+        // once panicked with `time overflow` on.
+        let frame_len = u64::MAX / 3 * 3;
+        let config = AsyncRunConfig::until_complete(100)
+            .with_frame_len(mmhew_time::LocalDuration::from_nanos(frame_len));
+        let err = Scenario::asynchronous(&small_net(), frame_based())
+            .config(config)
+            .run(SeedTree::new(1))
+            .expect_err("past the clock");
+        assert_eq!(
+            err,
+            ProtocolError::ClockHorizon {
+                max_frames: 100,
+                frame_len
+            }
+        );
+        assert!(err.to_string().contains("64-bit nanosecond clock"), "{err}");
+    }
+
+    /// Frames, offsets and starts drawn as fractions of the clock, under
+    /// every drift model: a run either refuses its horizon by name or runs
+    /// its whole budget, and no time arithmetic overflows on the way
+    /// (test builds check every operation).
+    #[test]
+    fn horizons_inside_the_clock_run_and_the_rest_are_refused() {
+        use mmhew_time::{DriftBound, DriftModel, LocalDuration, Rate, RealDuration};
+        use mmhew_util::prop;
+        use rand::Rng;
+        let net = small_net();
+        let third = u64::MAX / 3;
+        prop::check("horizons_inside_the_clock_run", 96, |rng| {
+            let max_frames = rng.gen_range(1..4u64);
+            let frame_len = rng.gen_range(third / 8..third) / max_frames / 3 * 3;
+            let drift = match rng.gen_range(0..3u32) {
+                0 => DriftModel::Ideal,
+                1 => DriftModel::Constant(Rate::new(rng.gen_range(1..=3u64), 2)),
+                _ => DriftModel::RandomPiecewise {
+                    bound: DriftBound::new(1, rng.gen_range(2..=8u64)),
+                    segment: RealDuration::from_nanos(
+                        frame_len.saturating_mul(rng.gen_range(1..=5u64)),
+                    ),
+                },
+            };
+            let config = AsyncRunConfig::until_complete(max_frames)
+                .with_frame_len(LocalDuration::from_nanos(frame_len))
+                .with_clocks(mmhew_engine::ClockConfig {
+                    drift,
+                    offset_window: LocalDuration::from_nanos(rng.gen_range(0..=2 * third)),
+                })
+                .with_starts(mmhew_engine::AsyncStartSchedule::Staggered {
+                    window: RealDuration::from_nanos(rng.gen_range(0..=third)),
+                });
+            let fits = config.horizon().is_some();
+            let run = Scenario::asynchronous(&net, frame_based())
+                .config(config)
+                .run(SeedTree::new(rng.gen_range(0..1_000u64)));
+            match run {
+                Ok(outcome) => {
+                    assert!(fits);
+                    assert!(outcome.frames_executed().iter().all(|&f| f <= max_frames));
+                }
+                Err(ProtocolError::ClockHorizon { .. }) => assert!(!fits),
+                Err(e) => panic!("{e}"),
+            }
+        });
     }
 }

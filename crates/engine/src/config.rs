@@ -268,12 +268,78 @@ impl AsyncRunConfig {
         self.burst_plan = burst_plan;
         self
     }
+
+    /// An upper bound on every real instant and every local clock
+    /// reading of a run under this configuration, or `None` when it does
+    /// not fit the `u64` nanosecond clock.
+    ///
+    /// The bound is the offset window, the latest start and `max_frames`
+    /// frames of `frame_len`, stretched by `1/(1 − δ)` for the clocks'
+    /// drift bound `δ`: a clock at the slowest admitted rate takes that
+    /// long to run them, and no clock reads faster. It costs O(1), apart
+    /// from one scan of an explicit start schedule.
+    pub fn horizon(&self) -> Option<RealTime> {
+        let latest_start = match &self.starts {
+            AsyncStartSchedule::Identical => RealTime::ZERO,
+            AsyncStartSchedule::Staggered { window } => RealTime::from_nanos(window.as_nanos()),
+            AsyncStartSchedule::Explicit(times) => {
+                times.iter().copied().max().unwrap_or(RealTime::ZERO)
+            }
+        };
+        let bound = self.clocks.drift.bound();
+        let local = u128::from(self.max_frames) * u128::from(self.frame_len.as_nanos())
+            + u128::from(self.clocks.offset_window.as_nanos())
+            + u128::from(latest_start.as_nanos());
+        let real = local
+            .checked_mul(u128::from(bound.den()))?
+            .div_ceil(u128::from(bound.den() - bound.num()));
+        u64::try_from(real).ok().map(RealTime::from_nanos)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use mmhew_time::DriftBound;
+
+    #[test]
+    fn horizon_stretches_offsets_starts_and_frames_by_the_drift_bound() {
+        let frames = |max_frames, frame_len| {
+            AsyncRunConfig::until_complete(max_frames)
+                .with_frame_len(LocalDuration::from_nanos(frame_len))
+        };
+        assert_eq!(
+            frames(1_000, 3_000).horizon(),
+            Some(RealTime::from_nanos(3_000_000))
+        );
+        // (10 offset + 10 start + 100 frames) × 3 µs, stretched by 1/(1 − 1/7).
+        let drifting = frames(100, 3_000)
+            .with_clocks(ClockConfig {
+                drift: DriftModel::RandomPiecewise {
+                    bound: DriftBound::PAPER,
+                    segment: RealDuration::from_nanos(15_000),
+                },
+                offset_window: LocalDuration::from_nanos(30_000),
+            })
+            .with_starts(AsyncStartSchedule::Staggered {
+                window: RealDuration::from_nanos(30_000),
+            });
+        assert_eq!(drifting.horizon(), Some(RealTime::from_nanos(420_000)));
+        let late = frames(1, 3).with_starts(AsyncStartSchedule::Explicit(vec![
+            RealTime::ZERO,
+            RealTime::from_nanos(97),
+        ]));
+        assert_eq!(late.horizon(), Some(RealTime::from_nanos(100)));
+        // Past the u64 clock, by the frames alone or by the stretch.
+        assert_eq!(frames(u64::MAX, u64::MAX).horizon(), None);
+        assert_eq!(frames(4_000_000, 3_000_000_000_000_000_000).horizon(), None);
+        assert_eq!(frames(1, u64::MAX).horizon(), Some(RealTime::MAX));
+        let stretched = frames(1, u64::MAX).with_clocks(ClockConfig {
+            drift: DriftModel::Constant(mmhew_time::Rate::new(8, 7)),
+            offset_window: LocalDuration::ZERO,
+        });
+        assert_eq!(stretched.horizon(), None);
+    }
 
     #[test]
     fn identical_schedule() {

@@ -12,7 +12,10 @@ use mmhew_harness::{reps_completed, set_jobs};
 
 fn main() {
     let (args, jobs, seed) = match Args::parse().and_then(|a| {
-        a.expect_only(&["seed", "csv-dir", "only"], &["markdown"])?;
+        a.expect_only(
+            &["seed", "csv-dir", "only", "jobs"],
+            &["markdown", "quick", "full"],
+        )?;
         let jobs = a.jobs()?;
         let seed = a.get_or("seed", 20_260_706u64)?;
         Ok((a, jobs, seed))

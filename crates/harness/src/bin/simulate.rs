@@ -26,8 +26,8 @@
 //! `--epsilon (0.01)`, `--start-window (0)`, `--frame-len (3000; a
 //! multiple of 3)`, `--drift-den (0 = ideal; 7 means δ=1/7; never 1)`,
 //! `--reps (5)`, `--seed (1)`,
-//! `--budget (4000000)`, `--jobs (0 = auto; worker threads for harness
-//! parallelism — never changes results)`,
+//! `--budget (4000000)`, `--jobs (the machine's parallelism; 1 to 256
+//! worker threads for harness parallelism — never changes results)`,
 //! `--engine slotted|event (slotted)` — `event` drives slotted algorithms
 //! through the dead-air-skipping executor (byte-identical outcomes at the
 //! same seed; slotted-only, rejected for alg4).
@@ -226,6 +226,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             "trace",
             "perfetto",
             "timeline-slots",
+            "jobs",
         ],
         &["metrics", "timeline"],
     )?;
@@ -288,17 +289,32 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         let msg = "--engine event drives the slotted engine only (alg4 is asynchronous)";
         return Err(FlagError(msg.into()).into());
     }
-    // The asynchronous engine keeps real time in u64 nanoseconds: clock
-    // offsets of up to 10 frames plus `budget` frames, each up to twice
-    // its nominal length under the largest admitted drift, must fit.
-    let horizon = budget
-        .saturating_add(10)
-        .checked_mul(frame_len)
-        .and_then(|t| t.checked_mul(2));
-    if algorithm == "alg4" && horizon.is_none() {
+    // Algorithm 4's run: clock offsets of up to 10 frames and drift
+    // segments of 5 frames. A product that saturates makes the horizon
+    // overflow, which the check below names.
+    let frames = |k: u64| frame_len.saturating_mul(k);
+    let drift = if drift_den == 0 {
+        DriftModel::Ideal
+    } else {
+        DriftModel::RandomPiecewise {
+            bound: DriftBound::new(1, drift_den),
+            segment: RealDuration::from_nanos(frames(5)),
+        }
+    };
+    let async_config = AsyncRunConfig::until_complete(budget)
+        .with_frame_len(LocalDuration::from_nanos(frame_len))
+        .with_clocks(ClockConfig {
+            drift,
+            offset_window: LocalDuration::from_nanos(frames(10)),
+        })
+        .with_starts(AsyncStartSchedule::Staggered {
+            window: RealDuration::from_nanos(start_window),
+        });
+    if algorithm == "alg4" && async_config.horizon().is_none() {
         return Err(FlagError(format!(
-            "--frame-len: {budget} frames (--budget) of {frame_len} ns overflow the \
-             64-bit nanosecond clock"
+            "--frame-len: {budget} frames (--budget) of {frame_len} ns, after clock offsets \
+             of up to 10 frames and starts of up to {start_window} ns (--start-window), \
+             overflow the 64-bit nanosecond clock"
         ))
         .into());
     }
@@ -347,23 +363,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             "algorithm: Algorithm 4 (async), Δ_est={delta_est}; Thm9 bound = {:.0} frames",
             bounds.theorem9_frames()
         );
-        let drift = if drift_den == 0 {
-            DriftModel::Ideal
-        } else {
-            DriftModel::RandomPiecewise {
-                bound: DriftBound::new(1, drift_den),
-                segment: RealDuration::from_nanos(frame_len * 5),
-            }
-        };
-        let config = AsyncRunConfig::until_complete(budget)
-            .with_frame_len(LocalDuration::from_nanos(frame_len))
-            .with_clocks(ClockConfig {
-                drift,
-                offset_window: LocalDuration::from_nanos(frame_len * 10),
-            })
-            .with_starts(AsyncStartSchedule::Staggered {
-                window: RealDuration::from_nanos(start_window),
-            });
         for rep in 0..reps {
             let alg = AsyncAlgorithm::FrameBased(AsyncParams::new(delta_est)?);
             let rep_seed = seed.branch("run").index(rep);
@@ -382,12 +381,12 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                 }
                 let mut fan = FanoutSink::new(sinks);
                 Scenario::asynchronous(&net, alg)
-                    .config(config.clone())
+                    .config(async_config.clone())
                     .with_sink(&mut fan)
                     .run(rep_seed)?
             } else {
                 Scenario::asynchronous(&net, alg)
-                    .config(config.clone())
+                    .config(async_config.clone())
                     .run(rep_seed)?
             };
             match out.min_full_frames_at_completion() {

@@ -8,6 +8,10 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
 
+/// Most worker threads `--jobs` accepts: each one is an operating-system
+/// thread, and no host this workspace targets has more cores.
+pub const MAX_JOBS: usize = 256;
+
 /// Parsed `--key value` / `--flag` arguments.
 ///
 /// # Examples
@@ -220,8 +224,8 @@ impl Args {
         }
     }
 
-    /// The effort level from the standard `--quick`/`--full` flags
-    /// (defaults to quick; `--full` wins when both are given).
+    /// The effort level from the `--quick`/`--full` flags (defaults to
+    /// quick; `--full` wins when both are given).
     pub fn effort(&self) -> Effort {
         if self.flag("full") {
             Effort::Full
@@ -230,29 +234,27 @@ impl Args {
         }
     }
 
-    /// The worker count from the standard `--jobs N` key, if given.
+    /// The worker count from the `--jobs N` key, if given: a thread count
+    /// from 1 to [`MAX_JOBS`].
     ///
     /// Callers typically feed this to [`crate::sweep::set_jobs`].
     ///
     /// # Errors
     ///
-    /// Returns [`CliError::BadValue`] if present but unparseable.
+    /// Returns [`CliError::BadValue`] if present but unparseable, and
+    /// [`CliError::OutOfRange`] outside `1..=MAX_JOBS`.
     pub fn jobs(&self) -> Result<Option<usize>, CliError> {
-        match self.values.get("jobs") {
-            None => Ok(None),
-            Some(v) => v.parse().map(Some).map_err(|_| CliError::BadValue {
-                key: "jobs".to_string(),
-                value: v.clone(),
-            }),
-        }
+        self.values
+            .get("jobs")
+            .map(|_| self.get_checked("jobs", 1, "from 1 to 256", |j| (1..=MAX_JOBS).contains(j)))
+            .transpose()
     }
 
     /// Rejects any argument outside the given vocabularies: `keys` are
     /// the accepted `--key value` names, `flags` the accepted boolean
-    /// `--flag`s. The standard effort/parallelism trio (`--quick`,
-    /// `--full`, `--jobs N`) is always accepted, so every harness binary
-    /// parses it uniformly — and a misspelled flag is an error instead of
-    /// being silently ignored.
+    /// `--flag`s. Each binary lists every flag it reads, `--jobs`,
+    /// `--quick` and `--full` included, so a misspelled or unread flag is
+    /// an error instead of being silently ignored.
     ///
     /// # Errors
     ///
@@ -260,10 +262,8 @@ impl Args {
     /// boolean flag given a value, [`CliError::MissingValue`] for a key
     /// given without one, and [`CliError::UnknownFlag`] for anything else.
     pub fn expect_only(&self, keys: &[&str], flags: &[&str]) -> Result<(), CliError> {
-        const STANDARD_KEYS: &[&str] = &["jobs"];
-        const STANDARD_FLAGS: &[&str] = &["quick", "full"];
-        let is_key = |name: &String| keys.iter().chain(STANDARD_KEYS).any(|k| k == name);
-        let is_flag = |name: &String| flags.iter().chain(STANDARD_FLAGS).any(|f| f == name);
+        let is_key = |name: &String| keys.iter().any(|k| k == name);
+        let is_flag = |name: &String| flags.iter().any(|f| f == name);
         for (key, value) in &self.values {
             if is_flag(key) {
                 return Err(CliError::UnexpectedValue {
@@ -366,10 +366,37 @@ mod tests {
     }
 
     #[test]
+    fn jobs_outside_one_to_the_cap_are_named() {
+        // Checked on the parsed value: nothing here starts a thread.
+        let top = MAX_JOBS.to_string();
+        assert_eq!(parse(&["--jobs", &top]).jobs(), Ok(Some(MAX_JOBS)));
+        assert_eq!(parse(&["--jobs", "1"]).jobs(), Ok(Some(1)));
+        for bad in [
+            "0".to_string(),
+            (MAX_JOBS + 1).to_string(),
+            u64::MAX.to_string(),
+        ] {
+            let e = parse(&["--jobs", &bad]).jobs().unwrap_err();
+            assert_eq!(
+                e.to_string(),
+                format!("--jobs: {bad} is out of range (expected from 1 to {MAX_JOBS})")
+            );
+        }
+    }
+
+    #[test]
     fn expect_only_rejects_misspellings() {
-        // The standard trio is always accepted.
+        // Only the listed flags are accepted, the effort and jobs ones too.
         let a = parse(&["--full", "--jobs", "2", "--seed", "7"]);
-        assert!(a.expect_only(&["seed"], &[]).is_ok());
+        assert!(a.expect_only(&["seed", "jobs"], &["full"]).is_ok());
+        assert_eq!(
+            a.expect_only(&["seed", "jobs"], &[]),
+            Err(CliError::UnknownFlag("full".into()))
+        );
+        assert_eq!(
+            a.expect_only(&["seed"], &["full"]),
+            Err(CliError::UnknownFlag("jobs".into()))
+        );
         // A misspelled flag is an error, not silently a boolean.
         let b = parse(&["--ful"]);
         assert_eq!(
@@ -393,12 +420,14 @@ mod tests {
             assert_eq!(e, CliError::MissingValue("only".into()));
             assert_eq!(e.to_string(), "--only: missing value");
         }
-        // Boolean flags, the standard ones included, take no value.
+        // Boolean flags take no value.
         for (args, key, value) in [
             (&["--metrics", "5"][..], "metrics", "5"),
             (&["--full", "3"], "full", "3"),
         ] {
-            let e = parse(args).expect_only(&[], &["metrics"]).unwrap_err();
+            let e = parse(args)
+                .expect_only(&[], &["metrics", "full"])
+                .unwrap_err();
             assert_eq!(
                 e,
                 CliError::UnexpectedValue {

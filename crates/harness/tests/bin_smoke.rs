@@ -227,6 +227,39 @@ fn bad_flag_values_fail_by_name() {
     }
 }
 
+/// Each binary accepts only the flags it reads: `--quick` and `--full`
+/// mean something to `run_all` alone. `--jobs` takes 1 to 256 worker
+/// threads; only a value that starts no thread is launched here, and the
+/// cap itself is tested on the parsed value in `cli.rs`.
+#[test]
+fn unread_flags_and_jobs_outside_the_cap_fail_by_name() {
+    let simulate = env!("CARGO_BIN_EXE_simulate");
+    let run_all = env!("CARGO_BIN_EXE_run_all");
+    let cases: &[(&str, &[&str], &str)] = &[
+        (simulate, &["--quick"], "--quick: unknown flag"),
+        (simulate, &["--full"], "--full: unknown flag"),
+        (simulate, &["--jobs", "0"], "--jobs: 0 is out of range"),
+        (
+            run_all,
+            &["--only", "E7", "--jobs", "0"],
+            "--jobs: 0 is out of range",
+        ),
+    ];
+    for (bin, args, named) in cases {
+        let out = Command::new(bin)
+            .args(*args)
+            .output()
+            .unwrap_or_else(|e| panic!("failed to spawn {bin}: {e}"));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains(named),
+            "{args:?} must say {named:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}: nothing runs first");
+    }
+}
+
 #[test]
 fn simulate_checks_output_paths_before_it_runs() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/Cargo.toml/x");

@@ -20,10 +20,14 @@ struct Segment {
 }
 
 impl Segment {
+    /// A segment whose end lies past the `u64` clock ends at `u64::MAX`: it
+    /// then covers every reading the clock can take. A drift-free clock's
+    /// single segment is half the clock long, so an offset past the other
+    /// half gets there.
     fn new(local_start: u64, rate: Rate, len: u64) -> Self {
         Self {
             local_start,
-            local_end: local_start + rate.local_elapsed(len),
+            local_end: local_start.saturating_add(rate.local_elapsed(len)),
             rate,
         }
     }

@@ -80,17 +80,19 @@ impl Rate {
         diff * bound_den as u128 <= bound_num as u128 * self.den as u128
     }
 
-    /// Local nanoseconds elapsed over `real_ns` real nanoseconds, flooring.
+    /// Local nanoseconds elapsed over `real_ns` real nanoseconds, flooring
+    /// and saturating at `u64::MAX`.
     #[inline]
     pub fn local_elapsed(&self, real_ns: u64) -> u64 {
         match real_ns.checked_mul(self.num) {
             Some(product) => product / self.den,
-            None => (real_ns as u128 * self.num as u128 / self.den as u128) as u64,
+            None => u64::try_from(real_ns as u128 * self.num as u128 / self.den as u128)
+                .unwrap_or(u64::MAX),
         }
     }
 
     /// The least number of real nanoseconds `r` such that
-    /// `local_elapsed(r) ≥ local_ns`.
+    /// `local_elapsed(r) ≥ local_ns`, saturating at `u64::MAX`.
     ///
     /// This is the exact inverse used for scheduling: a node asks "when does
     /// my clock reach local offset `l`?" and the engine gets the earliest
@@ -101,7 +103,8 @@ impl Rate {
         // <=> r >= ceil(l*den/num)
         match local_ns.checked_mul(self.den) {
             Some(product) => product.div_ceil(self.num),
-            None => (local_ns as u128 * self.den as u128).div_ceil(self.num as u128) as u64,
+            None => u64::try_from((local_ns as u128 * self.den as u128).div_ceil(self.num as u128))
+                .unwrap_or(u64::MAX),
         }
     }
 }
