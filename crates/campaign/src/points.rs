@@ -601,6 +601,21 @@ mod tests {
         }
     }
 
+    #[test]
+    fn the_largest_exact_seed_runs_and_is_echoed_exactly() {
+        let spec = SweepSpec::from_json(
+            r#"{"name":"big-seed","topology":"complete","reps":1,
+                "seed":9007199254740991,"axes":{"nodes":[3],"universe":[2]}}"#,
+        )
+        .expect("2^53 - 1 is below the limit");
+        assert!(
+            manifest_header(&spec).contains(r#""seed":9007199254740991,"#),
+            "{}",
+            manifest_header(&spec)
+        );
+        run_point(&spec, 0).expect("the point runs");
+    }
+
     /// A small protocol-axis head-to-head used by the tests below.
     fn rivals_spec() -> SweepSpec {
         SweepSpec::from_json(

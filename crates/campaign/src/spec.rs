@@ -284,7 +284,16 @@ impl SweepSpec {
         let field_u64 = |key: &'static str, default: u64| -> Result<u64, SpecError> {
             match doc.get(key) {
                 None => Ok(default),
-                Some(v) => v.as_u64().ok_or(SpecError::Field(key)),
+                // `as_u64` refuses a non-negative integer only from 2⁵³
+                // on, where a JSON number, read as a double, may already
+                // have been rounded to another integer.
+                Some(v) => v.as_u64().ok_or_else(|| match v.as_f64() {
+                    Some(x) if x >= 0.0 && x.fract() == 0.0 => SpecError::Invalid(format!(
+                        "{key:?} must be below 2^53 = 9007199254740992, past which \
+                         JSON numbers lose integer precision"
+                    )),
+                    _ => SpecError::Field(key),
+                }),
             }
         };
         let field_f64 = |key: &'static str, default: f64| -> Result<f64, SpecError> {
@@ -834,6 +843,33 @@ mod tests {
         assert!(e.to_string().contains("slot-synchronous only"));
         let e = bad(r#"{"name": "t", "algorithm": "alg9", "axes": {"nodes": [4]}}"#);
         assert!(e.to_string().contains("algorithm"));
+    }
+
+    #[test]
+    fn integers_from_two_to_the_53_are_refused_with_the_field_and_limit() {
+        // 2⁵³ + 1 parses as 2⁵³, so both would run as the same seed.
+        for (key, value) in [
+            ("seed", "9007199254740993"),
+            ("seed", "9007199254740992"),
+            ("budget", "1e300"),
+        ] {
+            let text = format!(r#"{{"name": "t", "{key}": {value}, "axes": {{"nodes": [4]}}}}"#);
+            let msg = SweepSpec::from_json(&text)
+                .expect_err("must fail")
+                .to_string();
+            assert!(msg.contains(&format!("{key:?}")), "{msg}");
+            assert!(msg.contains("2^53 = 9007199254740992"), "{msg}");
+        }
+        let spec = SweepSpec::from_json(
+            r#"{"name": "t", "seed": 9007199254740991, "axes": {"nodes": [4]}}"#,
+        )
+        .expect("2^53 - 1 is exact");
+        assert_eq!(spec.seed, 9_007_199_254_740_991);
+        // A fraction or a negative number is still a wrong type.
+        assert_eq!(
+            SweepSpec::from_json(r#"{"name": "t", "reps": 2.5, "axes": {"nodes": [4]}}"#),
+            Err(SpecError::Field("reps"))
+        );
     }
 
     #[test]

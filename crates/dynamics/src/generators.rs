@@ -45,9 +45,40 @@ pub fn poisson_churn(
     assert!(config.mean_downtime > 0.0, "mean downtime must be positive");
     let n = network.node_count();
     let topo = network.topology();
-    let edges: Vec<(NodeId, NodeId)> = topo.edges().collect();
+    // The original edges as `(to, from)`, sorted: each node's
+    // in-neighbors form one ascending run, which with its out-list
+    // restores its edges in the order `Topology::edges` yields them.
+    let mut inbound: Vec<(NodeId, NodeId)> = topo.edges().map(|(from, to)| (to, from)).collect();
+    inbound.sort_unstable();
+    // Brings `node` back with its original position and availability,
+    // then restores each original edge whose other endpoint is present.
+    let rejoin = |events: &mut Vec<TimedEvent>, present: &[bool], at: u64, node: NodeId| {
+        events.push(TimedEvent::new(
+            at,
+            NetworkEvent::NodeJoin {
+                node,
+                position: topo.position(node),
+                available: network.available(node).to_owned(),
+            },
+        ));
+        let ins = &inbound[inbound.partition_point(|&(to, _)| to < node)
+            ..inbound.partition_point(|&(to, _)| to <= node)];
+        let below = ins.partition_point(|&(_, w)| w < node);
+        let edges = ins[..below]
+            .iter()
+            .map(|&(_, w)| (w, node))
+            .chain(topo.out_neighbors(node).iter().map(|&v| (node, v)))
+            .chain(ins[below..].iter().map(|&(_, w)| (w, node)));
+        for (from, to) in edges {
+            if present[from.as_usize()] && present[to.as_usize()] {
+                events.push(TimedEvent::new(at, NetworkEvent::EdgeAdd { from, to }));
+            }
+        }
+    };
     let mut rng = seed.branch("churn").rng();
     let mut present = vec![true; n];
+    // The present nodes, ascending: a departure draws its index.
+    let mut present_nodes: Vec<NodeId> = topo.nodes().collect();
     let mut events = Vec::new();
     // Pending rejoins, ordered by time (a BinaryHeap of Reverse works too;
     // a sorted Vec keeps ties deterministic and the code obvious).
@@ -67,31 +98,14 @@ pub fn poisson_churn(
             }
             rejoins.remove(0);
             present[node.as_usize()] = true;
-            events.push(TimedEvent::new(
-                at,
-                NetworkEvent::NodeJoin {
-                    node,
-                    position: topo.position(node),
-                    available: network.available(node).to_owned(),
-                },
-            ));
-            for &(from, to) in &edges {
-                if (from == node || to == node)
-                    && present[from.as_usize()]
-                    && present[to.as_usize()]
-                {
-                    events.push(TimedEvent::new(at, NetworkEvent::EdgeAdd { from, to }));
-                }
-            }
+            let slot = present_nodes.partition_point(|&u| u < node);
+            present_nodes.insert(slot, node);
+            rejoin(&mut events, &present, at, node);
         }
-        let candidates: Vec<NodeId> = (0..n as u32)
-            .map(NodeId::new)
-            .filter(|u| present[u.as_usize()])
-            .collect();
-        if candidates.is_empty() {
+        if present_nodes.is_empty() {
             continue;
         }
-        let node = candidates[rng.gen_range(0..candidates.len())];
+        let node = present_nodes.remove(rng.gen_range(0..present_nodes.len()));
         present[node.as_usize()] = false;
         events.push(TimedEvent::new(
             departure_at,
@@ -107,19 +121,7 @@ pub fn poisson_churn(
     // Flush rejoins that precede the horizon but follow the last departure.
     for (at, node) in rejoins {
         present[node.as_usize()] = true;
-        events.push(TimedEvent::new(
-            at,
-            NetworkEvent::NodeJoin {
-                node,
-                position: topo.position(node),
-                available: network.available(node).to_owned(),
-            },
-        ));
-        for &(from, to) in &edges {
-            if (from == node || to == node) && present[from.as_usize()] && present[to.as_usize()] {
-                events.push(TimedEvent::new(at, NetworkEvent::EdgeAdd { from, to }));
-            }
-        }
+        rejoin(&mut events, &present, at, node);
     }
     events.sort_by_key(|e| e.at);
     events
@@ -360,6 +362,133 @@ mod tests {
                     );
                 }
                 other => panic!("unexpected churn event {other:?}"),
+            }
+        }
+    }
+
+    /// Reference model: every rejoin filters the whole edge list and
+    /// every departure collects the present nodes afresh. `poisson_churn`
+    /// must emit exactly its schedule.
+    fn full_scan_churn(
+        network: &Network,
+        horizon: u64,
+        config: &ChurnConfig,
+        seed: SeedTree,
+    ) -> Vec<TimedEvent> {
+        let n = network.node_count();
+        let topo = network.topology();
+        let edges: Vec<(NodeId, NodeId)> = topo.edges().collect();
+        let mut rng = seed.branch("churn").rng();
+        let mut present = vec![true; n];
+        let mut events = Vec::new();
+        let mut rejoins: Vec<(u64, NodeId)> = Vec::new();
+        let rejoin = |events: &mut Vec<TimedEvent>, present: &[bool], at: u64, node: NodeId| {
+            events.push(TimedEvent::new(
+                at,
+                NetworkEvent::NodeJoin {
+                    node,
+                    position: topo.position(node),
+                    available: network.available(node).to_owned(),
+                },
+            ));
+            for &(from, to) in &edges {
+                if (from == node || to == node)
+                    && present[from.as_usize()]
+                    && present[to.as_usize()]
+                {
+                    events.push(TimedEvent::new(at, NetworkEvent::EdgeAdd { from, to }));
+                }
+            }
+        };
+        let mut clock = 0.0_f64;
+        loop {
+            clock += exponential(&mut rng, 1.0 / config.rate);
+            let departure_at = clock.ceil() as u64;
+            if departure_at >= horizon {
+                break;
+            }
+            while let Some(&(at, node)) = rejoins.first() {
+                if at > departure_at {
+                    break;
+                }
+                rejoins.remove(0);
+                present[node.as_usize()] = true;
+                rejoin(&mut events, &present, at, node);
+            }
+            let candidates: Vec<NodeId> = (0..n as u32)
+                .map(NodeId::new)
+                .filter(|u| present[u.as_usize()])
+                .collect();
+            if candidates.is_empty() {
+                continue;
+            }
+            let node = candidates[rng.gen_range(0..candidates.len())];
+            present[node.as_usize()] = false;
+            events.push(TimedEvent::new(
+                departure_at,
+                NetworkEvent::NodeLeave { node },
+            ));
+            let downtime = exponential(&mut rng, config.mean_downtime).ceil().max(1.0) as u64;
+            let rejoin_at = departure_at.saturating_add(downtime);
+            if rejoin_at < horizon {
+                rejoins.push((rejoin_at, node));
+                rejoins.sort_by_key(|&(at, u)| (at, u));
+            }
+        }
+        for (at, node) in rejoins {
+            present[node.as_usize()] = true;
+            rejoin(&mut events, &present, at, node);
+        }
+        events.sort_by_key(|e| e.at);
+        events
+    }
+
+    #[test]
+    fn churn_matches_the_full_scan_reference() {
+        let cfg = ChurnConfig {
+            rate: 0.08,
+            mean_downtime: 60.0,
+        };
+        let build = |builder: NetworkBuilder, seed: SeedTree| {
+            builder
+                .universe(4)
+                .availability(AvailabilityModel::UniformSubset { size: 2 })
+                .build(seed)
+                .expect("build")
+        };
+        for s in 0..10u64 {
+            let tree = SeedTree::new(0xC4A0 + s);
+            let disk = build(NetworkBuilder::unit_disk(40, 8.0, 2.2), tree.branch("disk"));
+            let mut asym = build(
+                NetworkBuilder::asymmetric_disk(40, 8.0, 1.5, 3.0),
+                tree.branch("asym"),
+            );
+            // Edges added and removed leave the neighbor lists out of id
+            // order, which the restore order must not follow.
+            let mut rng = tree.branch("rewire").rng();
+            for _ in 0..80 {
+                let from = NodeId::new(rng.gen_range(0..40u32));
+                let to = NodeId::new(rng.gen_range(0..40u32));
+                let event = if rng.gen_bool(0.5) {
+                    NetworkEvent::EdgeAdd { from, to }
+                } else {
+                    NetworkEvent::EdgeRemove { from, to }
+                };
+                asym.apply(&event).expect("in-range event");
+            }
+            for network in [&disk, &asym] {
+                let events = poisson_churn(network, 3_000, &cfg, tree.branch("churn"));
+                assert!(
+                    events
+                        .iter()
+                        .any(|e| matches!(e.event, NetworkEvent::EdgeAdd { .. })),
+                    "seed {s}: rejoins must restore edges"
+                );
+                assert_eq!(
+                    events,
+                    full_scan_churn(network, 3_000, &cfg, tree.branch("churn")),
+                    "seed {s}"
+                );
             }
         }
     }

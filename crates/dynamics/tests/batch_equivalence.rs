@@ -9,7 +9,7 @@ use mmhew_dynamics::{
     SpectrumChurnConfig, TimedEvent,
 };
 use mmhew_spectrum::{AvailabilityModel, ChannelId, ChannelSet};
-use mmhew_topology::{Network, NetworkBuilder, NetworkEvent, NodeId};
+use mmhew_topology::{Network, NetworkBuilder, NetworkEvent, NodeId, Propagation};
 use mmhew_util::SeedTree;
 use rand::Rng;
 
@@ -110,6 +110,43 @@ fn markov_primary_user_batches_match_sequential_apply() {
     }
 }
 
+/// A uniform mix of every event kind on random nodes, one to five
+/// events per boundary for 300 boundaries. A `NodeJoin` moves its node
+/// somewhere in the `side × side` square.
+fn random_event_mix(network: &Network, side: f64, tree: &SeedTree) -> Vec<TimedEvent> {
+    let n = network.node_count() as u32;
+    let universe = network.universe_size();
+    let mut rng = tree.branch("mix").rng();
+    let mut events = Vec::new();
+    for at in 0..300u64 {
+        for _ in 0..rng.gen_range(1..6u32) {
+            let node = NodeId::new(rng.gen_range(0..n));
+            let other = NodeId::new(rng.gen_range(0..n));
+            let channel = ChannelId::new(rng.gen_range(0..universe));
+            let event = match rng.gen_range(0..6u32) {
+                0 => NetworkEvent::NodeJoin {
+                    node,
+                    position: (rng.gen::<f64>() * side, rng.gen::<f64>() * side),
+                    available: network.available(other).to_owned(),
+                },
+                1 => NetworkEvent::NodeLeave { node },
+                2 => NetworkEvent::EdgeAdd {
+                    from: node,
+                    to: other,
+                },
+                3 => NetworkEvent::EdgeRemove {
+                    from: node,
+                    to: other,
+                },
+                4 => NetworkEvent::ChannelGained { node, channel },
+                _ => NetworkEvent::ChannelLost { node, channel },
+            };
+            events.push(TimedEvent::new(at, event));
+        }
+    }
+    events
+}
+
 #[test]
 fn random_event_mix_batches_match_sequential_apply() {
     // The generators keep some events in lockstep (a primary user hits
@@ -119,36 +156,37 @@ fn random_event_mix_batches_match_sequential_apply() {
     for s in 0..4 {
         let tree = SeedTree::new(0xBA80 + s);
         let network = subsets_net(NetworkBuilder::unit_disk(20, 6.0, 2.5), &tree);
-        let n = network.node_count() as u32;
-        let mut rng = tree.branch("mix").rng();
-        let mut events = Vec::new();
-        for at in 0..300u64 {
-            for _ in 0..rng.gen_range(1..6u32) {
-                let node = NodeId::new(rng.gen_range(0..n));
-                let other = NodeId::new(rng.gen_range(0..n));
-                let channel = ChannelId::new(rng.gen_range(0..5u16));
-                let event = match rng.gen_range(0..6u32) {
-                    0 => NetworkEvent::NodeJoin {
-                        node,
-                        position: (rng.gen::<f64>() * 6.0, rng.gen::<f64>() * 6.0),
-                        available: network.available(other).to_owned(),
-                    },
-                    1 => NetworkEvent::NodeLeave { node },
-                    2 => NetworkEvent::EdgeAdd {
-                        from: node,
-                        to: other,
-                    },
-                    3 => NetworkEvent::EdgeRemove {
-                        from: node,
-                        to: other,
-                    },
-                    4 => NetworkEvent::ChannelGained { node, channel },
-                    _ => NetworkEvent::ChannelLost { node, channel },
-                };
-                events.push(TimedEvent::new(at, event));
-            }
-        }
-        assert_batches_match(&network, &events);
+        assert_batches_match(&network, &random_event_mix(&network, 6.0, &tree));
+    }
+}
+
+#[test]
+fn random_event_mix_batches_match_on_asymmetric_per_channel_range_networks() {
+    // Directed edges make a node's row and its mirror cells differ, and
+    // per-channel ranges make a `NodeJoin`'s move change a span channel
+    // by channel: a mirror cell can lose a receiver on one channel while
+    // the cell beside it keeps that receiver.
+    for s in 0..4 {
+        let tree = SeedTree::new(0xBA90 + s);
+        let network = NetworkBuilder::asymmetric_disk(20, 6.0, 1.5, 3.5)
+            .universe(5)
+            .availability(AvailabilityModel::UniformSubset { size: 3 })
+            .propagation(Propagation::PerChannelRange {
+                ranges: vec![3.5, 3.0, 2.5, 2.0, 1.5],
+            })
+            .build(tree.branch("net"))
+            .expect("build");
+        assert!(!network.topology().is_symmetric(), "seed {s}");
+        assert!(
+            network.links().iter().any(|l| {
+                network.span(l.from, l.to)
+                    != network
+                        .available(l.from)
+                        .intersection(network.available(l.to))
+            }),
+            "seed {s}: some span must be cut short by range"
+        );
+        assert_batches_match(&network, &random_event_mix(&network, 6.0, &tree));
     }
 }
 

@@ -57,10 +57,12 @@ impl Value {
     }
 
     /// The numeric payload as a non-negative integer, if it is one
-    /// exactly (rejects `2.5` and `-1`).
+    /// exactly (rejects `2.5` and `-1`). Numbers parse through `f64`, so
+    /// an integer literal at or above 2⁵³ may already have been rounded;
+    /// those are refused rather than read as the integer they rounded to.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < EXACT_INTEGER_LIMIT => {
                 Some(*n as u64)
             }
             _ => None,
@@ -198,6 +200,10 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 /// documents it reads (campaign specs, manifests, request bodies) nest a
 /// handful of levels.
 const MAX_DEPTH: usize = 128;
+
+/// 2⁵³, the first integer a rounded literal can land on (`2⁵³ + 1`
+/// parses as `2⁵³`), so [`Value::as_u64`] reads only integers below it.
+const EXACT_INTEGER_LIMIT: f64 = 9_007_199_254_740_992.0;
 
 struct Parser<'a> {
     bytes: &'a [u8],
@@ -436,6 +442,15 @@ mod tests {
         assert_eq!(parse("7").unwrap().as_u64(), Some(7));
         assert_eq!(parse("7.5").unwrap().as_u64(), None);
         assert_eq!(parse("-1").unwrap().as_u64(), None);
+        // 2⁵³ − 1 is the largest integer read; from 2⁵³ on, a literal
+        // may have been rounded.
+        assert_eq!(
+            parse("9007199254740991").unwrap().as_u64(),
+            Some(9_007_199_254_740_991)
+        );
+        for past in ["9007199254740992", "9007199254740993", "1e300"] {
+            assert_eq!(parse(past).unwrap().as_u64(), None, "{past}");
+        }
     }
 
     #[test]

@@ -13,10 +13,12 @@
 //! slice carves with no pointer chasing. Availability lives in a flat
 //! [`AvailabilityArena`] (one `u64` allocation for all nodes), and
 //! [`Network::available`] returns a borrowed [`ChannelSetRef`] view. A
-//! batch of dynamics events ([`Network::apply_all`])
-//! recomputes only the union of the CSR rows it touched, once, and
-//! compacts into persistent double buffers — zero steady-state
-//! allocation, covered by the engine's churn allocation audit.
+//! batch of dynamics events ([`Network::apply_all`]) recomputes only the
+//! union of the receiver rows it touched, once; rebuilds only the mirror
+//! cells those rows name, before or after the batch; and drops and merges
+//! only the touched receivers' links. Everything else is bulk-copied into
+//! persistent double buffers — zero steady-state allocation, covered by
+//! the engine's churn allocation audit.
 
 use crate::event::NetworkEvent;
 use crate::graph::Topology;
@@ -25,6 +27,7 @@ use mmhew_spectrum::{AvailabilityArena, ChannelId, ChannelSet, ChannelSetRef};
 use serde::ser::SerializeStruct;
 use serde::{Serialize, Serializer};
 use std::fmt;
+use std::ops::Range;
 
 /// Per-channel propagation behaviour.
 ///
@@ -155,7 +158,12 @@ impl ChannelCsr {
 
     #[inline]
     fn row(&self, node: usize, c: usize) -> &[NodeId] {
-        let i = node * self.universe + c;
+        self.cell(node * self.universe + c)
+    }
+
+    /// The row of flat cell index `i = node·S + channel`.
+    #[inline]
+    fn cell(&self, i: usize) -> &[NodeId] {
         &self.ids[self.starts[i] as usize..self.starts[i + 1] as usize]
     }
 
@@ -178,6 +186,20 @@ impl ChannelCsr {
             .map(|w| (w[1] - w[0]) as usize)
             .max()
             .unwrap_or(0)
+    }
+
+    /// Appends the cells `cells` (flat `node·S + channel` indices) to a
+    /// CSR under construction in `ids`/`starts`: one bulk copy of their
+    /// ids plus their end offsets rebased onto `ids`' current length.
+    fn copy_cells(&self, cells: Range<usize>, ids: &mut Vec<NodeId>, starts: &mut Vec<u32>) {
+        let from = self.starts[cells.start];
+        let base = ids.len() as u32;
+        ids.extend_from_slice(&self.ids[from as usize..self.starts[cells.end] as usize]);
+        starts.extend(
+            self.starts[cells.start + 1..=cells.end]
+                .iter()
+                .map(|&end| end - from + base),
+        );
     }
 
     /// Rebuilds the nested `[node][channel] -> Vec` shape (the wire
@@ -240,6 +262,12 @@ impl ChannelCsr {
 struct ApplyScratch {
     /// Touched receiver rows, collected over a batch, then sorted + deduped.
     touched: Vec<NodeId>,
+    /// The same set as one bit per node (`⌈N/64⌉` words), set for the
+    /// length of a refresh and cleared again at its end.
+    touched_bits: Vec<u64>,
+    /// The mirror cells the touched rows name, old and new, as sorted
+    /// [`mirror_key`]s.
+    cell_keys: Vec<u64>,
     /// Recomputed rows for the touched nodes, flat in touched order.
     stage_ids: Vec<NodeId>,
     /// Per-channel widths of each staged block (`touched.len() * S`).
@@ -248,7 +276,8 @@ struct ApplyScratch {
     widths: Vec<u32>,
     /// One node's per-channel fill cursors (`S`).
     cursors: Vec<u32>,
-    /// Double buffers the compaction writes into, then swaps live.
+    /// Double buffers each compaction (receiver side, then mirror) writes
+    /// into, then swaps live.
     ids_buf: Vec<NodeId>,
     starts_buf: Vec<u32>,
     /// Distinct link sources for one touched receiver.
@@ -257,8 +286,39 @@ struct ApplyScratch {
     fresh_links: Vec<Link>,
     /// Double buffer the link-inventory merge writes into, then swaps live.
     links_buf: Vec<Link>,
-    /// Counting-sort tallies/cursors for the mirror rebuild (`N * S`).
-    counts: Vec<u32>,
+}
+
+impl ApplyScratch {
+    /// Sets (`true`) or clears (`false`) the bit of every node in
+    /// `touched`.
+    fn mark_touched(&mut self, marked: bool) {
+        for &u in &self.touched {
+            let (word, bit) = (u.as_usize() / 64, 1u64 << (u.as_usize() % 64));
+            if marked {
+                self.touched_bits[word] |= bit;
+            } else {
+                self.touched_bits[word] &= !bit;
+            }
+        }
+    }
+
+    #[inline]
+    fn is_touched(&self, u: NodeId) -> bool {
+        self.touched_bits[u.as_usize() / 64] >> (u.as_usize() % 64) & 1 == 1
+    }
+}
+
+/// The receiver an old row's [`mirror_key`] carries: none. It sorts after
+/// every node id, so a cell's new receivers come first among its keys.
+const NO_RECEIVER: u32 = u32::MAX;
+
+/// The sort key of a mirror cell (`v·S + c`) named by a touched row: the
+/// cell in the high 32 bits, the receiver (or [`NO_RECEIVER`]) in the low
+/// 32, so sorted keys group by cell and list each cell's receivers
+/// ascending. [`Network::new`] keeps `N·S` below 2³².
+#[inline]
+fn mirror_key(cell: usize, receiver: u32) -> u64 {
+    (cell as u64) << 32 | u64::from(receiver)
 }
 
 /// An M²HeW network: topology, universe, per-node availability, and
@@ -409,8 +469,8 @@ impl Network {
             }
         }
         assert!(
-            neighbors.ids.len() < u32::MAX as usize,
-            "adjacency exceeds u32 CSR offsets"
+            neighbors.ids.len() < u32::MAX as usize && n * s < u32::MAX as usize,
+            "adjacency exceeds u32 CSR offsets or cell indices"
         );
         links.sort_unstable();
         let receivers = neighbors.invert();
@@ -566,16 +626,19 @@ impl Network {
     }
 
     /// Recomputes the CSR rows of the receivers listed in
-    /// `scratch.touched`, compacts both adjacency directions through the
-    /// persistent double buffers, and swaps the touched links. Everything
-    /// runs out of [`ApplyScratch`]; the only per-entry recomputation is
-    /// for the touched rows themselves.
+    /// `scratch.touched`, compacts the receiver-centric adjacency through
+    /// the persistent double buffers, swaps the touched links, and patches
+    /// the transmitter-centric mirror. Everything runs out of
+    /// [`ApplyScratch`]; each pass costs the rows the batch touched plus
+    /// one bulk copy of everything else.
     fn refresh_touched(&mut self) {
         let n = self.node_count();
         let s = self.universe as usize;
         let scratch = &mut self.scratch;
         scratch.touched.sort_unstable();
         scratch.touched.dedup();
+        scratch.touched_bits.resize(n.div_ceil(64), 0);
+        scratch.mark_touched(true);
 
         // Stage the recomputed rows of every touched receiver: a widths
         // pass then a cursor-guided fill, both visiting in-neighbors in
@@ -620,48 +683,69 @@ impl Network {
             scratch.stage_widths.extend_from_slice(&scratch.widths);
         }
 
+        // `u ∈ receivers_on(v, c)` iff `v ∈ neighbors_on(u, c)`, so a
+        // mirror cell can change only if it holds a touched receiver
+        // before the batch or after it: exactly the cells named by the
+        // touched receivers' old rows (read here, before the compaction
+        // below replaces them) and new rows (the stage).
+        scratch.cell_keys.clear();
+        let mut stage_pos = 0usize;
+        for (t_idx, &u) in scratch.touched.iter().enumerate() {
+            for c in 0..s {
+                for &v in self.neighbors.row(u.as_usize(), c) {
+                    scratch
+                        .cell_keys
+                        .push(mirror_key(v.as_usize() * s + c, NO_RECEIVER));
+                }
+                let w = scratch.stage_widths[t_idx * s + c] as usize;
+                for &v in &scratch.stage_ids[stage_pos..stage_pos + w] {
+                    scratch
+                        .cell_keys
+                        .push(mirror_key(v.as_usize() * s + c, u.index()));
+                }
+                stage_pos += w;
+            }
+        }
+        scratch.cell_keys.sort_unstable();
+        scratch.cell_keys.dedup();
+
         // Compact the receiver-centric CSR into the double buffers:
-        // touched blocks come from the stage, untouched blocks are bulk
-        // copies with rebased offsets.
+        // touched blocks come from the stage, each run of untouched nodes
+        // between them is one bulk copy with rebased offsets.
         scratch.ids_buf.clear();
         scratch.starts_buf.clear();
         scratch.starts_buf.push(0);
-        let mut t_idx = 0usize;
+        let mut clean = 0usize;
         let mut stage_pos = 0usize;
-        for u in 0..n {
-            if t_idx < scratch.touched.len() && scratch.touched[t_idx].as_usize() == u {
-                let widths = &scratch.stage_widths[t_idx * s..(t_idx + 1) * s];
-                for &w in widths {
-                    let w = w as usize;
-                    scratch
-                        .ids_buf
-                        .extend_from_slice(&scratch.stage_ids[stage_pos..stage_pos + w]);
-                    stage_pos += w;
-                    scratch.starts_buf.push(scratch.ids_buf.len() as u32);
-                }
-                t_idx += 1;
-            } else {
-                let base = u * s;
-                let old_start = self.neighbors.starts[base];
-                let old_end = self.neighbors.starts[base + s];
-                let rebase = scratch.ids_buf.len() as u32;
+        for (t_idx, &u) in scratch.touched.iter().enumerate() {
+            let u = u.as_usize();
+            self.neighbors.copy_cells(
+                clean * s..u * s,
+                &mut scratch.ids_buf,
+                &mut scratch.starts_buf,
+            );
+            for &w in &scratch.stage_widths[t_idx * s..(t_idx + 1) * s] {
+                let w = w as usize;
                 scratch
                     .ids_buf
-                    .extend_from_slice(&self.neighbors.ids[old_start as usize..old_end as usize]);
-                for c in 1..=s {
-                    scratch
-                        .starts_buf
-                        .push(self.neighbors.starts[base + c] - old_start + rebase);
-                }
+                    .extend_from_slice(&scratch.stage_ids[stage_pos..stage_pos + w]);
+                stage_pos += w;
+                scratch.starts_buf.push(scratch.ids_buf.len() as u32);
             }
+            clean = u + 1;
         }
+        self.neighbors.copy_cells(
+            clean * s..n * s,
+            &mut scratch.ids_buf,
+            &mut scratch.starts_buf,
+        );
         std::mem::swap(&mut self.neighbors.ids, &mut scratch.ids_buf);
         std::mem::swap(&mut self.neighbors.starts, &mut scratch.starts_buf);
 
         // Swap the touched receivers' entries in the sorted link
         // inventory: their fresh links (distinct sources of each new row)
         // are sorted, then merged with the surviving links into the double
-        // buffer. `touched` is sorted, so membership is a binary search.
+        // buffer, dropping every link into a touched receiver on the way.
         scratch.fresh_links.clear();
         for &u in &scratch.touched {
             self.neighbors
@@ -674,7 +758,7 @@ impl Network {
         scratch.links_buf.clear();
         let mut fresh = scratch.fresh_links.iter().copied().peekable();
         for &l in &self.links {
-            if scratch.touched.binary_search(&l.to).is_ok() {
+            if scratch.is_touched(l.to) {
                 continue;
             }
             while let Some(f) = fresh.next_if(|f| *f < l) {
@@ -685,41 +769,45 @@ impl Network {
         scratch.links_buf.extend(fresh);
         std::mem::swap(&mut self.links, &mut scratch.links_buf);
 
-        // Dynamics batches are rare relative to slots, so the
-        // transmitter-centric mirror is recompacted wholesale (a counting
-        // sort over the flat ids — the only way to stay canonical when a
-        // refreshed row may add or drop entries anywhere in other nodes'
-        // receiver lists), but through the same persistent buffers.
-        scratch.counts.resize(n * s, 0);
-        scratch.counts.fill(0);
-        for u in 0..n {
-            for c in 0..s {
-                for &v in self.neighbors.row(u, c) {
-                    scratch.counts[v.as_usize() * s + c] += 1;
-                }
-            }
-        }
+        // Patch the mirror into the double buffers: each named cell keeps
+        // its untouched receivers and merges in, ascending, the touched
+        // receivers whose new row names it; each run of cells between
+        // named ones is one bulk copy with rebased offsets.
+        scratch.ids_buf.clear();
         scratch.starts_buf.clear();
         scratch.starts_buf.push(0);
-        let mut acc = 0u32;
-        for k in 0..n * s {
-            acc += scratch.counts[k];
-            scratch.starts_buf.push(acc);
-            scratch.counts[k] = scratch.starts_buf[k];
-        }
-        scratch.ids_buf.clear();
-        scratch.ids_buf.resize(acc as usize, NodeId::new(0));
-        for u in 0..n {
-            for c in 0..s {
-                for &v in self.neighbors.row(u, c) {
-                    let k = v.as_usize() * s + c;
-                    scratch.ids_buf[scratch.counts[k] as usize] = NodeId::new(u as u32);
-                    scratch.counts[k] += 1;
+        let mut clean = 0usize;
+        let mut keys = &scratch.cell_keys[..];
+        while let Some(&first) = keys.first() {
+            let cell = (first >> 32) as usize;
+            let run = keys.partition_point(|&k| k >> 32 == first >> 32);
+            self.receivers
+                .copy_cells(clean..cell, &mut scratch.ids_buf, &mut scratch.starts_buf);
+            let mut fresh = keys[..run]
+                .iter()
+                .map(|&k| k as u32)
+                .take_while(|&u| u != NO_RECEIVER)
+                .map(NodeId::new)
+                .peekable();
+            for &u in self.receivers.cell(cell) {
+                if scratch.is_touched(u) {
+                    continue;
                 }
+                while let Some(f) = fresh.next_if(|&f| f < u) {
+                    scratch.ids_buf.push(f);
+                }
+                scratch.ids_buf.push(u);
             }
+            scratch.ids_buf.extend(fresh);
+            scratch.starts_buf.push(scratch.ids_buf.len() as u32);
+            keys = &keys[run..];
+            clean = cell + 1;
         }
+        self.receivers
+            .copy_cells(clean..n * s, &mut scratch.ids_buf, &mut scratch.starts_buf);
         std::mem::swap(&mut self.receivers.ids, &mut scratch.ids_buf);
         std::mem::swap(&mut self.receivers.starts, &mut scratch.starts_buf);
+        scratch.mark_touched(false);
     }
 
     /// The underlying communication graph.
