@@ -36,4 +36,4 @@ pub mod spec;
 
 pub use points::{manifest_header, point_seed, run_point, MANIFEST_SCHEMA_VERSION};
 pub use run::{run_campaign, CampaignError, CampaignOptions, CampaignOutcome};
-pub use spec::{AxisSpec, EngineKind, GridMode, Point, SpecError, SweepSpec, AXES};
+pub use spec::{AxisSpec, GridMode, Point, SpecError, SweepSpec, AXES};

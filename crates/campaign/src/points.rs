@@ -23,12 +23,13 @@
 //! the same spec and seed.
 
 use crate::run::CampaignError;
-use crate::spec::{EngineKind, Point, SweepSpec};
-use mmhew_discovery::{AsyncAlgorithm, AsyncParams, Engine, ProtocolError, Scenario};
+use crate::spec::{Point, SweepSpec};
+use mmhew_discovery::{AsyncAlgorithm, AsyncParams, ProtocolError, Scenario};
 use mmhew_dynamics::{poisson_churn, ChurnConfig, DynamicsSchedule};
 use mmhew_engine::{AsyncRunConfig, StartSchedule, SyncRunConfig};
 use mmhew_faults::{FaultPlan, JamSchedule, LinkLossModel};
 use mmhew_obs::value::{parse, Value};
+use mmhew_rivals::Family;
 use mmhew_spectrum::{AvailabilityModel, ChannelSet};
 use mmhew_topology::{Network, NetworkBuilder};
 use mmhew_util::{quantile, SeedTree, Welford};
@@ -88,8 +89,6 @@ pub(crate) struct PointContext {
     root: SeedTree,
     network: Network,
     algorithm: Algorithm,
-    /// Slotted oracle or the byte-identical event executor (sync only).
-    executor: Engine,
     starts: StartSchedule,
     robust: u64,
     faults: Option<FaultPlan>,
@@ -141,11 +140,11 @@ pub(crate) fn compile_point(
     // spec-level algorithm for this point.
     let name = point.protocol.as_deref().unwrap_or(&spec.algorithm);
     let algorithm = match spec.engine {
-        EngineKind::Sync | EngineKind::SyncEvent => Algorithm::SyncCatalog(
+        Family::Sync => Algorithm::SyncCatalog(
             mmhew_rivals::catalog::by_name(name)
                 .unwrap_or_else(|| unreachable!("validated protocol {name:?}")),
         ),
-        EngineKind::Async => Algorithm::Async(match name {
+        Family::Async => Algorithm::Async(match name {
             "frame-based" => AsyncAlgorithm::FrameBased(AsyncParams::new(delta_est)?),
             other => unreachable!("validated protocol {other:?}"),
         }),
@@ -190,10 +189,6 @@ pub(crate) fn compile_point(
         root,
         network,
         algorithm,
-        executor: match spec.engine {
-            EngineKind::SyncEvent => Engine::Event,
-            EngineKind::Sync | EngineKind::Async => Engine::Slotted,
-        },
         starts,
         robust: point.axis("robust") as u64,
         faults,
@@ -204,10 +199,10 @@ pub(crate) fn compile_point(
 }
 
 /// One repetition's completion time (`None` = budget exhausted). A sync
-/// point's wiring (starts, executor, budget, robustness, faults,
-/// dynamics) is the same whether its name came from the spec or the
-/// `protocol` axis, so a protocol-axis `"staged"` line is byte-identical
-/// to the `"algorithm": "staged"` line.
+/// point's wiring (starts, budget, robustness, faults, dynamics) is the
+/// same whether its name came from the spec or the `protocol` axis, so a
+/// protocol-axis `"staged"` line is byte-identical to the
+/// `"algorithm": "staged"` line.
 fn run_rep(ctx: &PointContext, rep: u64) -> Result<Option<f64>, ProtocolError> {
     let rep_seed = ctx.root.branch("run").index(rep);
     match ctx.algorithm {
@@ -215,7 +210,6 @@ fn run_rep(ctx: &PointContext, rep: u64) -> Result<Option<f64>, ProtocolError> {
             let stack = kind.build_sync(&ctx.network, ctx.delta_est)?;
             let mut scenario = Scenario::sync_stack(&ctx.network, stack)
                 .starts(ctx.starts.clone())
-                .engine(ctx.executor)
                 .config(SyncRunConfig::until_complete(ctx.budget));
             if ctx.robust > 0 {
                 scenario = scenario.robust(ctx.robust);
@@ -581,22 +575,6 @@ mod tests {
             assert_eq!(
                 run_point_line(&spec, &point).expect("line"),
                 run_point(&spec, point.id).expect("point")
-            );
-        }
-    }
-
-    #[test]
-    fn sync_event_points_match_slotted_lines() {
-        // The event executor is byte-identical to the slotted oracle, so
-        // a sync-event campaign's manifest lines must equal the sync
-        // campaign's (the engine field is not part of the seed derivation).
-        let slotted = SweepSpec::smoke();
-        let mut event = SweepSpec::smoke();
-        event.engine = EngineKind::SyncEvent;
-        for point in slotted.expand() {
-            assert_eq!(
-                run_point_line(&slotted, &point).expect("slotted line"),
-                run_point_line(&event, &point).expect("event line")
             );
         }
     }

@@ -32,21 +32,13 @@
 //! it.
 
 use mmhew_obs::value::{parse, ParseError, Value};
+use mmhew_rivals::Family;
 use std::fmt;
 
-/// Which simulation engine a spec drives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EngineKind {
-    /// Slot-synchronous ([`mmhew_discovery::Scenario::sync`]).
-    Sync,
-    /// Slot-synchronous semantics executed by the dead-air-skipping event
-    /// executor ([`mmhew_discovery::Engine::Event`]). Outcomes are
-    /// byte-identical to [`EngineKind::Sync`] at the same seed, so the
-    /// same algorithms and axes apply; only wall-clock differs.
-    SyncEvent,
-    /// Unsynchronized clocks ([`mmhew_discovery::Scenario::asynchronous`]).
-    Async,
-}
+/// The engines a spec may name, by [`Family::label`]: `sync` runs
+/// [`mmhew_discovery::Scenario::sync`], `async`
+/// [`mmhew_discovery::Scenario::asynchronous`].
+const ENGINES: [Family; 2] = [Family::Sync, Family::Async];
 
 /// How multiple axes combine into points.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,10 +129,10 @@ pub struct SweepSpec {
     /// Campaign name: file-name-safe (`[A-Za-z0-9._-]+`), keyed into the
     /// seed derivation so renaming a campaign re-randomizes it.
     pub name: String,
-    /// Engine selection.
-    pub engine: EngineKind,
-    /// Algorithm: `staged` | `adaptive` | `uniform` | `baseline` (sync
-    /// and sync-event), `frame-based` (async).
+    /// Engine selection, written as its [`Family::label`].
+    pub engine: Family,
+    /// Algorithm: `staged` | `adaptive` | `uniform` | `baseline` (sync),
+    /// `frame-based` (async).
     pub algorithm: String,
     /// Topology family: `complete` | `line` | `ring` | `star` | `er`.
     pub topology: String,
@@ -258,16 +250,13 @@ impl SweepSpec {
             .and_then(Value::as_str)
             .ok_or(SpecError::Field("name"))?
             .to_string();
-        let engine = match doc.get("engine").and_then(Value::as_str).unwrap_or("sync") {
-            "sync" => EngineKind::Sync,
-            "sync-event" => EngineKind::SyncEvent,
-            "async" => EngineKind::Async,
-            other => {
-                return Err(SpecError::Invalid(format!(
-                    "engine {other:?} (expected \"sync\", \"sync-event\", or \"async\")"
-                )))
-            }
-        };
+        let label = doc.get("engine").and_then(Value::as_str).unwrap_or("sync");
+        let engine = ENGINES
+            .into_iter()
+            .find(|family| family.label() == label)
+            .ok_or_else(|| {
+                SpecError::Invalid(format!("engine {label:?} (expected \"sync\" or \"async\")"))
+            })?;
         let mode = match doc
             .get("mode")
             .and_then(Value::as_str)
@@ -360,8 +349,8 @@ impl SweepSpec {
                 .get("algorithm")
                 .and_then(Value::as_str)
                 .unwrap_or(match engine {
-                    EngineKind::Sync | EngineKind::SyncEvent => "staged",
-                    EngineKind::Async => "frame-based",
+                    Family::Sync => "staged",
+                    Family::Async => "frame-based",
                 })
                 .to_string(),
             topology: doc
@@ -392,15 +381,7 @@ impl SweepSpec {
         use std::fmt::Write as _;
         let mut out = String::from("{\"name\":");
         mmhew_obs::value::write_json_string(&mut out, &self.name);
-        let _ = write!(
-            out,
-            ",\"engine\":\"{}\"",
-            match self.engine {
-                EngineKind::Sync => "sync",
-                EngineKind::SyncEvent => "sync-event",
-                EngineKind::Async => "async",
-            }
-        );
+        let _ = write!(out, ",\"engine\":\"{}\"", self.engine.label());
         out.push_str(",\"algorithm\":");
         mmhew_obs::value::write_json_string(&mut out, &self.algorithm);
         out.push_str(",\"topology\":");
@@ -455,7 +436,7 @@ impl SweepSpec {
     pub fn smoke() -> Self {
         let spec = SweepSpec {
             name: "smoke".to_string(),
-            engine: EngineKind::Sync,
+            engine: Family::Sync,
             algorithm: "staged".to_string(),
             topology: "complete".to_string(),
             edge_prob: 0.3,
@@ -505,10 +486,8 @@ impl SweepSpec {
             ));
         }
         let algorithms: &[&str] = match self.engine {
-            EngineKind::Sync | EngineKind::SyncEvent => {
-                &["staged", "adaptive", "uniform", "baseline"]
-            }
-            EngineKind::Async => &["frame-based"],
+            Family::Sync => &["staged", "adaptive", "uniform", "baseline"],
+            Family::Async => &["frame-based"],
         };
         if !algorithms.contains(&self.algorithm.as_str()) {
             return err(format!(
@@ -541,19 +520,15 @@ impl SweepSpec {
         if self.axes.is_empty() && self.protocols.is_empty() {
             return err("at least one axis must be swept".to_string());
         }
-        let family = match self.engine {
-            EngineKind::Sync | EngineKind::SyncEvent => mmhew_rivals::Family::Sync,
-            EngineKind::Async => mmhew_rivals::Family::Async,
-        };
         for (i, name) in self.protocols.iter().enumerate() {
-            let accepted = mmhew_rivals::catalog::names(family);
+            let accepted = mmhew_rivals::catalog::names(self.engine);
             match mmhew_rivals::catalog::by_name(name) {
                 None => {
                     return err(format!(
                         "axis \"protocol\": unknown protocol {name:?} (this engine accepts {accepted:?})"
                     ))
                 }
-                Some(kind) if kind.family != family => {
+                Some(kind) if kind.family != self.engine => {
                     return err(format!(
                         "axis \"protocol\": {name:?} runs on the {} engine only (this engine accepts {accepted:?})",
                         kind.family.label()
@@ -593,7 +568,7 @@ impl SweepSpec {
                     ));
                 }
             }
-            if self.engine == EngineKind::Async && SYNC_ONLY_AXES.contains(&axis.name.as_str()) {
+            if self.engine == Family::Async && SYNC_ONLY_AXES.contains(&axis.name.as_str()) {
                 return err(format!(
                     "axis {:?} is slot-synchronous only (async engine has no {})",
                     axis.name,
@@ -816,7 +791,7 @@ mod tests {
                 "axes": {"nodes": [8, 16], "loss": 0.2}}"#,
         )
         .expect("valid");
-        assert_eq!(spec.engine, EngineKind::Sync);
+        assert_eq!(spec.engine, Family::Sync);
         assert_eq!(spec.algorithm, "staged");
         assert_eq!(spec.reps, 5);
         assert_eq!(spec.seed, 9);
@@ -843,6 +818,11 @@ mod tests {
         assert!(e.to_string().contains("slot-synchronous only"));
         let e = bad(r#"{"name": "t", "algorithm": "alg9", "axes": {"nodes": [4]}}"#);
         assert!(e.to_string().contains("algorithm"));
+        let e = bad(r#"{"name": "t", "engine": "sync-event", "axes": {"nodes": [4]}}"#);
+        assert_eq!(
+            e.to_string(),
+            r#"invalid spec: engine "sync-event" (expected "sync" or "async")"#
+        );
     }
 
     #[test]
@@ -916,20 +896,6 @@ mod tests {
         let e = bad(r#"{"name": "t", "mode": "zip",
                 "axes": {"nodes": [4, 1000000000000], "universe": [2, 64]}}"#);
         assert!(e.to_string().contains("MiB"));
-    }
-
-    #[test]
-    fn sync_event_engine_parses_and_round_trips() {
-        let spec = SweepSpec::from_json(
-            r#"{"name": "t", "engine": "sync-event",
-                "axes": {"nodes": [4], "jam": [0, 1]}}"#,
-        )
-        .expect("valid");
-        assert_eq!(spec.engine, EngineKind::SyncEvent);
-        // Sync-event shares the slot-synchronous defaults and axes
-        // (jam is SYNC_ONLY and must be accepted here).
-        assert_eq!(spec.algorithm, "staged");
-        assert_eq!(SweepSpec::from_json(&spec.to_json()).expect("parses"), spec);
     }
 
     #[test]

@@ -103,10 +103,7 @@ impl SyncProtocol for StagedDiscovery {
         }
     }
 
-    /// Every active slot draws a fresh channel and a fresh transmit coin
-    /// (a geometric-style schedule), so the draw-free repeat window is
-    /// empty — but the stream is beacon-independent and the node never
-    /// terminates, which is what admits it to the event executor.
+    /// The stream is beacon-independent and the node never terminates.
     fn next_transmission_bound(&self, now: u64) -> Option<u64> {
         Some(now)
     }

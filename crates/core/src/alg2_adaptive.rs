@@ -119,10 +119,8 @@ impl AdaptiveDiscovery {
 }
 
 impl SyncProtocol for AdaptiveDiscovery {
-    /// Every active slot draws a fresh channel and a fresh transmit coin,
-    /// so the draw-free repeat window is empty; the estimate machinery
-    /// advances on slot count alone (beacon-independent), so the event
-    /// executor may drive it.
+    /// The estimate machinery advances on slot count alone, so the stream
+    /// is beacon-independent, and the node never terminates.
     fn next_transmission_bound(&self, now: u64) -> Option<u64> {
         Some(now)
     }

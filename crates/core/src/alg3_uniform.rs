@@ -81,10 +81,8 @@ impl SyncProtocol for UniformDiscovery {
         }
     }
 
-    /// Every active slot draws a fresh channel and a fresh transmit coin
-    /// (the memoryless 1/(2ρ̂) schedule), so the draw-free repeat window
-    /// is empty — but the stream is beacon-independent and the node never
-    /// terminates, which is what admits it to the event executor.
+    /// The memoryless 1/(2ρ̂) schedule is beacon-independent and the node
+    /// never terminates.
     fn next_transmission_bound(&self, now: u64) -> Option<u64> {
         Some(now)
     }

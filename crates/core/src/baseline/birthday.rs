@@ -95,8 +95,7 @@ impl SyncProtocol for BirthdayProtocol {
         }
     }
 
-    /// Memoryless per-slot coin: empty repeat window, beacon-independent
-    /// stream — scan-ahead-safe for the event executor.
+    /// Memoryless per-slot coin: a beacon-independent stream.
     fn next_transmission_bound(&self, now: u64) -> Option<u64> {
         Some(now)
     }

@@ -101,9 +101,7 @@ impl SyncProtocol for PerChannelBirthday {
     }
 
     /// The channel rotation is a fixed function of the slot index and the
-    /// transmit coin is memoryless, so the stream is beacon-independent
-    /// with an empty draw-free repeat window (unavailable-channel slots
-    /// draw nothing, but the *next* slot may draw again).
+    /// transmit coin is memoryless, so the stream is beacon-independent.
     fn next_transmission_bound(&self, now: u64) -> Option<u64> {
         Some(now)
     }

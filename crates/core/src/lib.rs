@@ -53,7 +53,6 @@ pub mod robust;
 pub mod runner;
 pub mod scenario;
 pub mod termination;
-pub mod two_hop;
 
 pub use alg1_staged::StagedDiscovery;
 pub use alg2_adaptive::{AdaptiveDiscovery, GrowthStrategy};
@@ -72,4 +71,3 @@ pub use runner::{
 };
 pub use scenario::{AsyncScenario, Scenario, SyncScenario, DEFAULT_BUDGET};
 pub use termination::{QuiescentAsyncTermination, QuiescentTermination};
-pub use two_hop::{two_hop_views, TwoHopView};

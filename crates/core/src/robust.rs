@@ -103,18 +103,12 @@ impl SyncProtocol for RobustDiscovery {
         self.inner.is_terminated()
     }
 
-    /// Time dilation is a blocked schedule: the inner protocol only draws
-    /// at multiples of `repetition`, and every mid-block slot repeats
-    /// `current` without touching the RNG. The draw-free repeat window
-    /// therefore runs to the next block boundary. The wrapper is only
-    /// scan-ahead-safe if the inner schedule is.
+    /// Time dilation only repeats the inner protocol's actions, so the
+    /// wrapper keeps the promise exactly when the inner protocol does.
     fn next_transmission_bound(&self, now: u64) -> Option<u64> {
-        self.inner.next_transmission_bound(now / self.repetition)?;
-        if now.is_multiple_of(self.repetition) {
-            Some(now)
-        } else {
-            Some((now / self.repetition + 1) * self.repetition)
-        }
+        self.inner
+            .next_transmission_bound(now / self.repetition)
+            .map(|_| now)
     }
 
     fn phase(&self) -> Option<ProtocolPhase> {

@@ -8,7 +8,6 @@
 //! Scenario::sync(&net, algorithm)
 //!     .starts(..)            // start-slot schedule (default Identical)
 //!     .config(..)            // run budget / stop conditions
-//!     .engine(..)            // executor: Slotted oracle / Event skipper
 //!     .with_dynamics(..)     // churn / mobility / spectrum events
 //!     .with_faults(..)       // loss, jamming, capture, crashes
 //!     .with_sink(..)         // event observation
@@ -28,8 +27,7 @@
 //! dynamics schedule, an empty fault plan or an attached sink is
 //! therefore RNG- and trace-neutral: outcomes and JSONL traces are
 //! byte-identical at the same seed, which the root `observability` and
-//! `golden` suites pin. The `scenario_equivalence` suite holds the event
-//! executor to the same bytes as the slotted default.
+//! `golden` suites pin.
 //!
 //! # Wrapper composition order
 //!
@@ -218,13 +216,11 @@ impl<'a> SyncScenario<'a> {
     }
 
     /// Selects the executor driving the run (default
-    /// [`Engine::Slotted`], the slot-by-slot oracle).
-    /// [`Engine::Event`] does not resolve dead air — slots with no
-    /// transmission and no due dynamics — while staying byte-identical to
-    /// the oracle at the same seed, and falls back to it wholesale
-    /// whenever the fast path's preconditions fail (an attached sink, a
-    /// fault plan, or a protocol stack without a scan-ahead-safe
-    /// transmit-schedule hook).
+    /// [`Engine::Slotted`], the slot-by-slot oracle). Kept only for the
+    /// benchmark's executor comparison: [`Engine::Event`] is held
+    /// byte-identical to the oracle (the `scenario_equivalence` suite) and
+    /// measured no faster, because the paper's protocols draw in every
+    /// slot and leave no dead air to skip.
     #[must_use]
     pub fn engine(mut self, engine: Engine) -> Self {
         self.engine = engine;

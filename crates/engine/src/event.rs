@@ -13,7 +13,10 @@
 //!
 //! Deciding a slot costs the same on both executors: the paper's
 //! protocols draw a channel and a transmit coin in every active slot. What
-//! dead air saves is the resolver pass and the stop checks, nothing more.
+//! dead air saves is the resolver pass and the stop checks, nothing more,
+//! and measured end to end the executor is no faster than the slotted
+//! loop. It is kept only for the benchmark's executor comparison; no
+//! command-line flag or campaign spec selects it.
 //!
 //! # How byte-identity is preserved
 //!
@@ -46,7 +49,8 @@ use crate::sync::{SyncEngine, SyncOutcome};
 
 /// Which executor drives a synchronous [`run`](SyncEngine::run): the
 /// slot-by-slot oracle (default) or the dead-air-skipping event executor,
-/// which is held byte-identical to the oracle at the same seed.
+/// which is held byte-identical to the oracle at the same seed. Only the
+/// benchmark's executor comparison selects [`Engine::Event`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Engine {
     /// Step every slot in order — the reference semantics.

@@ -5,9 +5,10 @@
 //!
 //! * [`SyncEngine`] — globally synchronized slots with the paper's
 //!   collision model; supports per-node start slots (Algorithm 3's
-//!   variable start times). Sparse runs can opt into the dead-air-skipping
-//!   event executor ([`SyncEngine::run_event`], module [`event`]), which
-//!   is held byte-identical to the slot-by-slot oracle;
+//!   variable start times). The dead-air-skipping event executor
+//!   ([`SyncEngine::run_event`], module [`event`]) is held byte-identical
+//!   to the slot-by-slot oracle and measured no faster; it is kept only
+//!   for the benchmark's executor comparison;
 //! * [`AsyncEngine`] — event-driven continuous time; per-node drifting
 //!   clocks, local frames split into three slots, interval-based reception
 //!   (Algorithm 4).

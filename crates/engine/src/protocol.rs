@@ -32,37 +32,20 @@ pub trait SyncProtocol {
         false
     }
 
-    /// Declares this protocol's transmit schedule from active slot `now`
-    /// on. The event executor (`run_event`) uses the hook as its
-    /// eligibility gate: it asks every protocol at slot 0, and a `None`
-    /// anywhere sends the whole run to the slot-by-slot oracle.
+    /// Whether the event executor (`run_event`) may drive this protocol.
+    /// The executor asks every protocol once, at slot 0, and reads only
+    /// `is_some()`: a `None` anywhere sends the whole run to the
+    /// slot-by-slot oracle.
     ///
-    /// Returning `Some(b)` (with `b >= now`) is a three-part promise:
+    /// `Some` is one promise: from active slot `now` on, the action
+    /// stream ignores beacon receptions (`on_beacon` only updates the
+    /// table) and `is_terminated` stays constant. The executor runs its
+    /// stop checks only on the slots it steps, and the constant
+    /// `is_terminated` is what makes that sound. Implementations that
+    /// keep the promise return `Some(now)`.
     ///
-    /// 1. **Draw-free repeat window** — `on_slot` for every active slot in
-    ///    `[now, b)` performs no RNG draws and returns the same action the
-    ///    most recent `on_slot` call returned. `b == now` declares the
-    ///    window empty (the paper's geometric per-slot schedules draw
-    ///    every slot); blocked schedules such as
-    ///    `RobustDiscovery` return the next block boundary.
-    /// 2. **Transmission bound** — no slot before `b` can introduce a
-    ///    *new* transmission: the earliest slot whose action may differ
-    ///    from the repeated one (and thus may transmit) is `b`.
-    /// 3. **Scan-ahead safety** — from `now` on, the action stream is
-    ///    independent of beacon receptions (`on_beacon` only updates the
-    ///    table) and `is_terminated` is constant, so an executor may
-    ///    evaluate `on_slot` eagerly, ahead of virtual time.
-    ///
-    /// The executor itself calls `on_slot` on every active slot, in slot
-    /// order, exactly as the slotted loop does. What it relies on is the
-    /// constant `is_terminated`: it runs the stop checks only on the slots
-    /// it steps. The repeat window and the transmission bound are checked
-    /// directly by the rivals conformance suite.
-    ///
-    /// The default `None` opts out: the engine falls back to the
-    /// slot-by-slot oracle for the whole run. Reception-coupled wrappers
-    /// (quiescent termination, continuous re-discovery) must keep the
-    /// default.
+    /// The default `None` opts out. Reception-coupled wrappers (quiescent
+    /// termination, continuous re-discovery) must keep the default.
     fn next_transmission_bound(&self, now: u64) -> Option<u64> {
         let _ = now;
         None

@@ -604,9 +604,8 @@ impl<'n> SyncEngine<'n> {
     /// Whether the event executor may drive this engine. Trace-bearing
     /// runs are excluded (every slot emits events, so there is no dead air
     /// to skip), as are faulted runs (jam, crash, and loss state advance
-    /// per slot) and any run whose protocols don't declare a
-    /// scan-ahead-safe transmit schedule via
-    /// [`SyncProtocol::next_transmission_bound`].
+    /// per slot) and any run with a protocol whose
+    /// [`SyncProtocol::next_transmission_bound`] is `None` at slot 0.
     pub(crate) fn event_fast_path_eligible(&self) -> bool {
         !self.world.obs.is_enabled()
             && self.world.faults.is_none()

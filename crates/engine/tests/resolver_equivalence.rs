@@ -61,8 +61,7 @@ impl SyncProtocol for RandomChatter {
         }
     }
 
-    // Every active slot draws afresh, so the draw-free repeat window is
-    // empty — the exact bound for a per-slot randomized schedule. This
+    // The stream ignores receptions and the node never terminates, which
     // opts the protocol into the event executor's fast path.
     fn next_transmission_bound(&self, now: u64) -> Option<u64> {
         Some(now)

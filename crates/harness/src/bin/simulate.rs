@@ -27,10 +27,7 @@
 //! multiple of 3)`, `--drift-den (0 = ideal; 7 means δ=1/7; never 1)`,
 //! `--reps (5)`, `--seed (1)`,
 //! `--budget (4000000)`, `--jobs (the machine's parallelism; 1 to 256
-//! worker threads for harness parallelism — never changes results)`,
-//! `--engine slotted|event (slotted)` — `event` drives slotted algorithms
-//! through the dead-air-skipping executor (byte-identical outcomes at the
-//! same seed; slotted-only, rejected for alg4).
+//! worker threads for harness parallelism — never changes results)`.
 //!
 //! Observability flags:
 //! `--trace <path>` writes repetition 0 as a JSONL event trace
@@ -50,8 +47,8 @@
 //! (see `mmhew_topology::check_storage_cap`), fails by name instead.
 
 use mmhew_discovery::{
-    tables_match_ground_truth, AsyncAlgorithm, AsyncParams, Bounds, Engine, Scenario,
-    SyncAlgorithm, SyncParams,
+    tables_match_ground_truth, AsyncAlgorithm, AsyncParams, Bounds, Scenario, SyncAlgorithm,
+    SyncParams,
 };
 use mmhew_engine::{AsyncRunConfig, AsyncStartSchedule, ClockConfig, StartSchedule, SyncRunConfig};
 use mmhew_harness::cli::{Args, CliError};
@@ -61,6 +58,7 @@ use mmhew_spectrum::{AvailabilityModel, PrimaryUser};
 use mmhew_time::{DriftBound, DriftModel, LocalDuration, RealDuration};
 use mmhew_topology::{Network, NetworkBuilder};
 use mmhew_util::{SeedTree, Summary};
+use std::fs::File;
 
 /// A flag value `simulate` cannot accept, beyond what [`CliError`] names.
 #[derive(Debug)]
@@ -185,6 +183,34 @@ fn build_network(args: &Args, seed: SeedTree) -> Result<Network, Box<dyn std::er
         .build(seed)?)
 }
 
+/// Repetition `rep`'s sinks in one fanout, or `None` when it feeds none:
+/// `--metrics` aggregates every repetition, and `--trace`, `--perfetto`
+/// and `--timeline` record repetition 0 only.
+fn rep_sinks<'s>(
+    rep: u64,
+    metrics: &'s mut Option<MetricsSink>,
+    trace: &'s mut Option<JsonlTraceSink<File>>,
+    perfetto: &'s mut Option<PerfettoSink>,
+    timeline: &'s mut Option<TimelineSink>,
+) -> Option<FanoutSink<'s>> {
+    let mut sinks: Vec<&mut dyn EventSink> = Vec::new();
+    if let Some(m) = metrics {
+        sinks.push(m);
+    }
+    if rep == 0 {
+        if let Some(t) = trace {
+            sinks.push(t);
+        }
+        if let Some(p) = perfetto {
+            sinks.push(p);
+        }
+        if let Some(t) = timeline {
+            sinks.push(t);
+        }
+    }
+    (!sinks.is_empty()).then(|| FanoutSink::new(sinks))
+}
+
 fn main() {
     if let Err(e) = run() {
         eprintln!("simulate: {e}");
@@ -222,7 +248,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             "reps",
             "seed",
             "budget",
-            "engine",
             "trace",
             "perfetto",
             "timeline-slots",
@@ -281,14 +306,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         None => None,
     };
     let algorithm = args.one_of("algorithm", &["alg1", "alg2", "alg3", "alg4", "baseline"])?;
-    let engine = match args.one_of("engine", &["slotted", "event"])? {
-        "event" => Engine::Event,
-        _ => Engine::Slotted,
-    };
-    if engine == Engine::Event && algorithm == "alg4" {
-        let msg = "--engine event drives the slotted engine only (alg4 is asynchronous)";
-        return Err(FlagError(msg.into()).into());
-    }
     // Algorithm 4's run: clock offsets of up to 10 frames and drift
     // segments of 5 frames. A product that saturates makes the horizon
     // overflow, which the check below names.
@@ -345,7 +362,8 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let timeline_on = args.flag("timeline");
     let trace_path = args.raw("trace").map(str::to_string);
     let mut metrics = metrics_on.then(MetricsSink::new);
-    let mut timeline = timeline_on.then(|| TimelineSink::new(timeline_slots));
+    let mut timeline =
+        (timeline_on && algorithm != "alg4").then(|| TimelineSink::new(timeline_slots));
     let unusable = |flag: &str, p: &str, e| FlagError(format!("--{flag}: cannot create {p}: {e}"));
     let mut trace = match &trace_path {
         Some(p) => Some(JsonlTraceSink::create(p).map_err(|e| unusable("trace", p, e))?),
@@ -356,7 +374,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         Some(p) => Some(PerfettoSink::create(p).map_err(|e| unusable("perfetto", p, e))?),
         None => None,
     };
-    let observing = metrics_on || timeline_on || trace_path.is_some() || perfetto_path.is_some();
 
     if rival.is_none() && algorithm == "alg4" {
         println!(
@@ -366,29 +383,12 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         for rep in 0..reps {
             let alg = AsyncAlgorithm::FrameBased(AsyncParams::new(delta_est)?);
             let rep_seed = seed.branch("run").index(rep);
-            let out = if observing {
-                let mut sinks: Vec<&mut dyn EventSink> = Vec::new();
-                if let Some(m) = metrics.as_mut() {
-                    sinks.push(m);
-                }
-                if rep == 0 {
-                    if let Some(t) = trace.as_mut() {
-                        sinks.push(t);
-                    }
-                    if let Some(p) = perfetto.as_mut() {
-                        sinks.push(p);
-                    }
-                }
-                let mut fan = FanoutSink::new(sinks);
-                Scenario::asynchronous(&net, alg)
-                    .config(async_config.clone())
-                    .with_sink(&mut fan)
-                    .run(rep_seed)?
-            } else {
-                Scenario::asynchronous(&net, alg)
-                    .config(async_config.clone())
-                    .run(rep_seed)?
-            };
+            let mut fan = rep_sinks(rep, &mut metrics, &mut trace, &mut perfetto, &mut timeline);
+            let mut scenario = Scenario::asynchronous(&net, alg).config(async_config.clone());
+            if let Some(fan) = fan.as_mut() {
+                scenario = scenario.with_sink(fan);
+            }
+            let out = scenario.run(rep_seed)?;
             match out.min_full_frames_at_completion() {
                 Some(frames) => {
                     println!("  rep {rep}: completed in {frames} frames after T_s");
@@ -428,44 +428,20 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         };
         for rep in 0..reps {
             let rep_seed = seed.branch("run").index(rep);
-            let config = SyncRunConfig::until_complete(budget);
+            let mut fan = rep_sinks(rep, &mut metrics, &mut trace, &mut perfetto, &mut timeline);
             // Catalog stacks are rebuilt every repetition (they are
             // per-node state machines); named algorithms are stateless
             // descriptors the scenario instantiates itself.
-            let scenario = match rival {
+            let mut scenario = match rival {
                 Some(kind) => Scenario::sync_stack(&net, kind.build_sync(&net, delta_est)?),
                 None => Scenario::sync(&net, alg),
-            };
-            let out = if observing {
-                let mut sinks: Vec<&mut dyn EventSink> = Vec::new();
-                if let Some(m) = metrics.as_mut() {
-                    sinks.push(m);
-                }
-                if rep == 0 {
-                    if let Some(t) = trace.as_mut() {
-                        sinks.push(t);
-                    }
-                    if let Some(p) = perfetto.as_mut() {
-                        sinks.push(p);
-                    }
-                    if let Some(t) = timeline.as_mut() {
-                        sinks.push(t);
-                    }
-                }
-                let mut fan = FanoutSink::new(sinks);
-                scenario
-                    .starts(starts.clone())
-                    .config(config)
-                    .engine(engine)
-                    .with_sink(&mut fan)
-                    .run(rep_seed)?
-            } else {
-                scenario
-                    .starts(starts.clone())
-                    .config(config)
-                    .engine(engine)
-                    .run(rep_seed)?
-            };
+            }
+            .starts(starts.clone())
+            .config(SyncRunConfig::until_complete(budget));
+            if let Some(fan) = fan.as_mut() {
+                scenario = scenario.with_sink(fan);
+            }
+            let out = scenario.run(rep_seed)?;
             match out.slots_to_complete() {
                 Some(slots) => {
                     println!("  rep {rep}: completed in {slots} slots after T_s");
@@ -494,13 +470,12 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     if let Some(m) = &metrics {
         print!("{}", m.render_summary());
     }
+    if timeline_on && algorithm == "alg4" {
+        println!("(timeline: slotted algorithms only — nothing drawn for alg4)");
+    }
     if let Some(t) = &timeline {
-        if algorithm == "alg4" {
-            println!("(timeline: slotted algorithms only — nothing drawn for alg4)");
-        } else {
-            println!("timeline of rep 0 (first {timeline_slots} slots):");
-            print!("{}", t.render());
-        }
+        println!("timeline of rep 0 (first {timeline_slots} slots):");
+        print!("{}", t.render());
     }
     if let (Some(t), Some(path)) = (trace, trace_path) {
         let events = t.events();

@@ -239,6 +239,8 @@ fn unread_flags_and_jobs_outside_the_cap_fail_by_name() {
         (simulate, &["--quick"], "--quick: unknown flag"),
         (simulate, &["--full"], "--full: unknown flag"),
         (simulate, &["--jobs", "0"], "--jobs: 0 is out of range"),
+        (simulate, &["--engine", "event"], "--engine: unknown flag"),
+        (simulate, &["--engine", "slotted"], "--engine: unknown flag"),
         (
             run_all,
             &["--only", "E7", "--jobs", "0"],

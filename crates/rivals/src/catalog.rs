@@ -17,15 +17,15 @@ use mmhew_topology::{Network, NodeId};
 /// Which engine family a protocol runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Family {
-    /// Slot-synchronous ([`SyncProtocol`]); runs on the slotted and event
-    /// executors.
+    /// Slot-synchronous ([`SyncProtocol`]); runs on the slotted executor.
     Sync,
     /// Frame-asynchronous (`AsyncProtocol`).
     Async,
 }
 
 impl Family {
-    /// The engine label used in campaign specs and error messages.
+    /// The engine label: a campaign spec's `"engine"` value, and the name
+    /// error messages use.
     pub fn label(self) -> &'static str {
         match self {
             Family::Sync => "sync",

@@ -29,9 +29,9 @@
 //! paper's randomized algorithms are designed to rule out, and E27/E28
 //! report it as such.
 //!
-//! The schedule is draw-free, so [`SyncProtocol::next_transmission_bound`]
-//! declares every run of off slots as a repeat window and the event
-//! executor admits the protocol.
+//! The schedule ignores receptions and never terminates, so
+//! [`SyncProtocol::next_transmission_bound`] admits it to the event
+//! executor.
 
 use mmhew_discovery::ProtocolError;
 use mmhew_engine::{NeighborTable, SyncProtocol};
@@ -147,12 +147,13 @@ impl McDisDiscovery {
     pub fn duty(&self) -> f64 {
         self.class.duty()
     }
+}
 
-    /// The action scheduled for `active_slot` — a pure function of the
-    /// slot index, which is what makes the bound hook exact.
-    fn action_at(&self, active_slot: u64) -> SlotAction {
+impl SyncProtocol for McDisDiscovery {
+    fn on_slot(&mut self, active_slot: u64, _rng: &mut Xoshiro256StarStar) -> SlotAction {
         let s = active_slot.wrapping_add(self.phase);
         let m = self.channels.len() as u64;
+        self.stage = s / self.class.transmit_prime;
         if s.is_multiple_of(self.class.transmit_prime) {
             let idx = (s / self.class.transmit_prime) % m;
             SlotAction::Transmit {
@@ -167,13 +168,6 @@ impl McDisDiscovery {
             SlotAction::Quiet
         }
     }
-}
-
-impl SyncProtocol for McDisDiscovery {
-    fn on_slot(&mut self, active_slot: u64, _rng: &mut Xoshiro256StarStar) -> SlotAction {
-        self.stage = active_slot.wrapping_add(self.phase) / self.class.transmit_prime;
-        self.action_at(active_slot)
-    }
 
     fn on_beacon(&mut self, beacon: &Beacon, _channel: ChannelId) {
         self.table.record(
@@ -187,20 +181,7 @@ impl SyncProtocol for McDisDiscovery {
     }
 
     fn next_transmission_bound(&self, now: u64) -> Option<u64> {
-        // The window repeats the most recent `on_slot` action, that of slot
-        // `now - 1`, so it is empty at slot 0 and wherever slot `now`
-        // changes the action. An on slot is never followed by another on
-        // slot of the same kind and channel (a prime >= 2 divides at most
-        // one of two consecutive counters), so a repeated action is off,
-        // and the schedule stays off until the next multiple of either
-        // prime.
-        if now == 0 || self.action_at(now) != self.action_at(now - 1) {
-            return Some(now);
-        }
-        let s = now.wrapping_add(self.phase);
-        let until = |p: u64| p - s % p;
-        let gap = until(self.class.transmit_prime).min(until(self.class.listen_prime));
-        Some(now.saturating_add(gap))
+        Some(now)
     }
 
     fn phase(&self) -> Option<ProtocolPhase> {
@@ -260,31 +241,6 @@ mod tests {
                     assert!(available.contains(channel), "slot {s}");
                 }
                 SlotAction::Quiet => {}
-            }
-        }
-    }
-
-    #[test]
-    fn bound_is_exact_first_change() {
-        for class in DUTY_CLASSES {
-            let p = proto(class, 11);
-            assert_eq!(
-                p.next_transmission_bound(0),
-                Some(0),
-                "no action precedes slot 0"
-            );
-            for now in 1..1000 {
-                let bound = p.next_transmission_bound(now).expect("draw-free");
-                let here = p.action_at(now);
-                if here != p.action_at(now - 1) {
-                    assert_eq!(bound, now, "the action changes at {now}");
-                    continue;
-                }
-                assert!(bound > now, "a repeated action opens a window at {now}");
-                for t in now + 1..bound {
-                    assert_eq!(p.action_at(t), here, "window must repeat at {t}");
-                }
-                assert_ne!(p.action_at(bound), here, "bound must be tight at {now}");
             }
         }
     }

@@ -28,9 +28,9 @@
 //! this for sizes 3 and 5), best-effort under heterogeneous subsets,
 //! where misses show up as budget-exhausted failures in E27/E28.
 //!
-//! The schedule is draw-free, so [`SyncProtocol::next_transmission_bound`]
-//! declares every run of repeated cells as a repeat window and the event
-//! executor admits the protocol.
+//! The schedule ignores receptions and never terminates, so
+//! [`SyncProtocol::next_transmission_bound`] admits it to the event
+//! executor.
 
 use mmhew_discovery::ProtocolError;
 use mmhew_engine::{NeighborTable, SyncProtocol};
@@ -103,12 +103,13 @@ impl NihaoDiscovery {
         let c = self.cols as f64;
         1.0 / c + (c - 1.0) / (r * c)
     }
+}
 
-    /// The action scheduled for `active_slot` — a pure function of the
-    /// slot index.
-    fn action_at(&self, active_slot: u64) -> SlotAction {
+impl SyncProtocol for NihaoDiscovery {
+    fn on_slot(&mut self, active_slot: u64, _rng: &mut Xoshiro256StarStar) -> SlotAction {
         let s = active_slot.wrapping_add(self.phase);
         let m = self.channels.len() as u64;
+        self.grid = s / (self.rows * self.cols);
         let col = s % self.cols;
         let row = (s / self.cols) % self.rows;
         if col == 0 {
@@ -125,13 +126,6 @@ impl NihaoDiscovery {
             SlotAction::Quiet
         }
     }
-}
-
-impl SyncProtocol for NihaoDiscovery {
-    fn on_slot(&mut self, active_slot: u64, _rng: &mut Xoshiro256StarStar) -> SlotAction {
-        self.grid = active_slot.wrapping_add(self.phase) / (self.rows * self.cols);
-        self.action_at(active_slot)
-    }
 
     fn on_beacon(&mut self, beacon: &Beacon, _channel: ChannelId) {
         self.table.record(
@@ -145,18 +139,7 @@ impl SyncProtocol for NihaoDiscovery {
     }
 
     fn next_transmission_bound(&self, now: u64) -> Option<u64> {
-        // The window repeats the most recent `on_slot` action, that of slot
-        // `now - 1`, so it is empty at slot 0 and wherever slot `now`
-        // changes the action. Column 0 is a single cell, so a repeated
-        // action is a listen or off cell, and within a row the action can
-        // only change at the next column-0 slot: a listen run in row 0
-        // stays on one channel (the receive channel is per grid pass), and
-        // an off run stays off.
-        if now == 0 || self.action_at(now) != self.action_at(now - 1) {
-            return Some(now);
-        }
-        let col = now.wrapping_add(self.phase) % self.cols;
-        Some(now.saturating_add(self.cols - col))
+        Some(now)
     }
 
     fn phase(&self) -> Option<ProtocolPhase> {
@@ -220,31 +203,6 @@ mod tests {
                     assert!(available.contains(channel), "slot {s}");
                 }
                 SlotAction::Quiet => {}
-            }
-        }
-    }
-
-    #[test]
-    fn bound_is_exact_first_change() {
-        for (rows, cols) in [(2u64, 16u64), (8, 16), (12, 16), (1, 4)] {
-            let p = proto(rows, cols, 7);
-            assert_eq!(
-                p.next_transmission_bound(0),
-                Some(0),
-                "no action precedes slot 0"
-            );
-            for now in 1..2000 {
-                let bound = p.next_transmission_bound(now).expect("draw-free");
-                let here = p.action_at(now);
-                if here != p.action_at(now - 1) {
-                    assert_eq!(bound, now, "the action changes at {now}");
-                    continue;
-                }
-                assert!(bound > now);
-                for t in now + 1..bound {
-                    assert_eq!(p.action_at(t), here, "window must repeat at {t}");
-                }
-                assert_ne!(p.action_at(bound), here, "bound must be tight at {now}");
             }
         }
     }

@@ -9,13 +9,10 @@
 //! 2. **Termination monotonicity** — once `is_terminated` reports true
 //!    it never reverts (engines stop scheduling terminated nodes, so a
 //!    flip-flop would deadlock discovery).
-//! 3. **`next_transmission_bound` honesty** — checked two ways: directly
-//!    (inside a declared `[now, b)` window the protocol repeats its last
-//!    action without touching the RNG) and end-to-end, by replaying the
-//!    identical stack through the slot-by-slot oracle and the
-//!    event-driven executor, which admits a run on the hook and then
-//!    relies on its frozen termination vote, demanding byte-identical
-//!    outcomes.
+//! 3. **`next_transmission_bound` honesty** — the identical stack is
+//!    replayed through the slot-by-slot oracle and the event-driven
+//!    executor, which admits a run on the hook and then relies on its
+//!    frozen termination vote, demanding byte-identical outcomes.
 
 use mmhew_discovery::{Engine, Scenario};
 use mmhew_engine::SyncRunConfig;
@@ -92,62 +89,6 @@ fn actions_stay_on_available_channels_and_termination_is_monotone() {
                             "{name} node {i} un-terminated at slot {slot}"
                         );
                         terminated = t;
-                    }
-                }
-            }
-        },
-    );
-}
-
-#[test]
-fn declared_bound_windows_repeat_the_last_action_without_rng_draws() {
-    prop::check(
-        "declared_bound_windows_repeat_the_last_action_without_rng_draws",
-        CASES,
-        |rng| {
-            let (n, universe, subset, seed) = net_params(rng);
-            let net = build_network(n, universe, subset, seed);
-            let delta_est = net.max_degree().max(1) as u64;
-            for name in catalog::names(Family::Sync) {
-                let kind = catalog::by_name(name).expect("listed name resolves");
-                let mut protocol = kind
-                    .build_sync(&net, delta_est)
-                    .expect("non-empty channel sets")
-                    .remove(0);
-                let mut rng = Xoshiro256StarStar::from_seed_u64(seed);
-                let mut last = protocol.on_slot(0, &mut rng);
-                let mut slot = 1;
-                while slot < DRIVE_SLOTS {
-                    match protocol.next_transmission_bound(slot) {
-                        Some(bound) => {
-                            assert!(
-                                bound >= slot,
-                                "{name} declared past bound {bound} at slot {slot}"
-                            );
-                            for s in slot..bound.min(DRIVE_SLOTS) {
-                                let before = rng.clone();
-                                let action = protocol.on_slot(s, &mut rng);
-                                assert_eq!(
-                                    action, last,
-                                    "{} broke its repeat window at slot {}",
-                                    name, s
-                                );
-                                assert_eq!(
-                                    &rng, &before,
-                                    "{} drew randomness inside its window at slot {}",
-                                    name, s
-                                );
-                            }
-                            if bound >= DRIVE_SLOTS {
-                                break;
-                            }
-                            last = protocol.on_slot(bound, &mut rng);
-                            slot = bound + 1;
-                        }
-                        None => {
-                            last = protocol.on_slot(slot, &mut rng);
-                            slot += 1;
-                        }
                     }
                 }
             }
