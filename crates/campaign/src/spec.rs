@@ -221,6 +221,17 @@ impl fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
+/// The string at `key` of `doc`: `default` when the key is absent, and
+/// [`SpecError::Field`] naming `key` when it holds anything but a string.
+fn str_field<'a>(
+    doc: &'a Value,
+    key: &'static str,
+    default: &'a str,
+) -> Result<&'a str, SpecError> {
+    doc.get(key)
+        .map_or(Ok(default), |v| v.as_str().ok_or(SpecError::Field(key)))
+}
+
 impl SweepSpec {
     /// Parses and validates a JSON spec document.
     ///
@@ -250,18 +261,14 @@ impl SweepSpec {
             .and_then(Value::as_str)
             .ok_or(SpecError::Field("name"))?
             .to_string();
-        let label = doc.get("engine").and_then(Value::as_str).unwrap_or("sync");
+        let label = str_field(&doc, "engine", "sync")?;
         let engine = ENGINES
             .into_iter()
             .find(|family| family.label() == label)
             .ok_or_else(|| {
                 SpecError::Invalid(format!("engine {label:?} (expected \"sync\" or \"async\")"))
             })?;
-        let mode = match doc
-            .get("mode")
-            .and_then(Value::as_str)
-            .unwrap_or("cartesian")
-        {
+        let mode = match str_field(&doc, "mode", "cartesian")? {
             "cartesian" => GridMode::Cartesian,
             "zip" => GridMode::Zip,
             other => {
@@ -345,19 +352,16 @@ impl SweepSpec {
         let spec = SweepSpec {
             name,
             engine,
-            algorithm: doc
-                .get("algorithm")
-                .and_then(Value::as_str)
-                .unwrap_or(match engine {
+            algorithm: str_field(
+                &doc,
+                "algorithm",
+                match engine {
                     Family::Sync => "staged",
                     Family::Async => "frame-based",
-                })
-                .to_string(),
-            topology: doc
-                .get("topology")
-                .and_then(Value::as_str)
-                .unwrap_or("complete")
-                .to_string(),
+                },
+            )?
+            .to_string(),
+            topology: str_field(&doc, "topology", "complete")?.to_string(),
             edge_prob: field_f64("edge-prob", 0.3)?,
             mode,
             reps: field_u64("reps", 5)?,
@@ -611,11 +615,14 @@ impl SweepSpec {
         Ok(())
     }
 
-    /// Rejects any grid point whose `nodes × universe` fixed storage
-    /// would exceed the memory cap, naming the estimate up front instead
-    /// of letting a worker OOM mid-campaign. Covers exactly the pairs
-    /// the grid can produce: zipped index pairs when both axes are swept
-    /// in zip mode, the full cross product otherwise.
+    /// Rejects any grid point whose network storage would exceed the
+    /// memory cap, naming the estimate up front instead of letting a
+    /// worker OOM mid-campaign. The estimate counts the `nodes × universe`
+    /// offsets and availability words and the directed links the
+    /// topology implies (`N·(N−1)` for `complete`, the expected
+    /// `p·N·(N−1)` for `er`). Covers exactly the pairs the grid can
+    /// produce: zipped index pairs when both axes are swept in zip mode,
+    /// the full cross product otherwise.
     fn validate_storage_cap(&self) -> Result<(), SpecError> {
         let axis_values = |name: &str| -> Vec<f64> {
             self.axes
@@ -646,9 +653,22 @@ impl SweepSpec {
                 .flat_map(|&n| universe.iter().map(move |&u| (n, u)))
                 .collect()
         };
+        let links = |n: u64| match self.topology.as_str() {
+            "complete" => n.saturating_mul(n.saturating_sub(1)),
+            // A float-to-integer cast saturates, so a huge product cannot wrap.
+            "er" => (self.edge_prob * n as f64 * n.saturating_sub(1) as f64).ceil() as u64,
+            "ring" => n.saturating_mul(2),
+            // `line` and `star`: N − 1 edges, each in both directions.
+            _ => n.saturating_sub(1).saturating_mul(2),
+        };
         for (n, u) in pairs {
-            mmhew_topology::check_storage_cap(n as u64, u as u16)
-                .map_err(|e| SpecError::Invalid(format!("axes \"nodes\" × \"universe\": {e}")))?;
+            let n = n as u64;
+            mmhew_topology::check_storage_cap(n, u as u16, links(n)).map_err(|e| {
+                SpecError::Invalid(format!(
+                    "axes \"nodes\" × \"universe\" on topology {:?}: {e}",
+                    self.topology
+                ))
+            })?;
         }
         Ok(())
     }
@@ -896,6 +916,55 @@ mod tests {
         let e = bad(r#"{"name": "t", "mode": "zip",
                 "axes": {"nodes": [4, 1000000000000], "universe": [2, 64]}}"#);
         assert!(e.to_string().contains("MiB"));
+    }
+
+    #[test]
+    fn storage_cap_counts_the_links_a_dense_topology_implies() {
+        // The default topology is `complete`: 30 000 nodes imply about
+        // 9·10⁸ directed links, over 20 GB, though the node terms alone
+        // are a few MB.
+        let e = SweepSpec::from_json(r#"{"name":"t","axes":{"nodes":[30000]}}"#)
+            .expect_err("a complete graph on 30 000 nodes is over the cap");
+        let msg = e.to_string();
+        assert!(matches!(e, SpecError::Invalid(_)), "{msg}");
+        assert!(msg.contains("\"complete\""), "names the topology: {msg}");
+        assert!(msg.contains("899970000 directed links"), "{msg}");
+        assert!(msg.contains("MiB"), "names the estimate: {msg}");
+        // Erdős–Rényi counts the expected p·N·(N−1) links.
+        let er = |p: f64| {
+            SweepSpec::from_json(&format!(
+                r#"{{"name":"t","topology":"er","edge-prob":{p},"axes":{{"nodes":[30000]}}}}"#
+            ))
+        };
+        assert!(er(0.5).is_err());
+        assert!(er(0.001).is_ok());
+        // Sparse shapes at the same size stay well under the cap.
+        for topology in ["ring", "line", "star"] {
+            assert!(SweepSpec::from_json(&format!(
+                r#"{{"name":"t","topology":"{topology}","axes":{{"nodes":[30000]}}}}"#
+            ))
+            .is_ok());
+        }
+    }
+
+    #[test]
+    fn string_fields_of_the_wrong_type_fail_by_name() {
+        for key in ["engine", "mode", "algorithm", "topology"] {
+            for value in ["5", "[\"sync\"]", "[]", "null"] {
+                let text = format!(r#"{{"name":"t","{key}":{value},"axes":{{"nodes":[4]}}}}"#);
+                assert_eq!(
+                    SweepSpec::from_json(&text),
+                    Err(SpecError::Field(key)),
+                    "{text}"
+                );
+            }
+        }
+        // An absent key keeps its default.
+        let spec = SweepSpec::from_json(r#"{"name":"t","axes":{"nodes":[4]}}"#).expect("valid");
+        assert_eq!(spec.engine, Family::Sync);
+        assert_eq!(spec.mode, GridMode::Cartesian);
+        assert_eq!(spec.algorithm, "staged");
+        assert_eq!(spec.topology, "complete");
     }
 
     #[test]

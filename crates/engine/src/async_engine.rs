@@ -621,7 +621,14 @@ impl<'n> AsyncEngine<'n> {
             frames_executed: self.nodes.iter().map(|s| s.frames_executed).collect(),
             min_full_frames_at_completion: min_full_frames,
             link_coverage: world.tracker.per_link().collect(),
-            tables: self.protocols.iter().map(|p| p.table().clone()).collect(),
+            // By value: each protocol, and with it its own table, is
+            // dropped as soon as its copy is made, so the run never holds
+            // two copies of every table.
+            tables: self
+                .protocols
+                .into_iter()
+                .map(|p| p.table().clone())
+                .collect(),
             deliveries: world.deliveries,
             impairment_losses: world.impairment_losses,
             beacon_losses: world.beacon_losses,

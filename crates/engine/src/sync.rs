@@ -626,7 +626,14 @@ impl<'n> SyncEngine<'n> {
             slots_executed: self.slot,
             latest_start,
             link_coverage: world.tracker.per_link().collect(),
-            tables: self.protocols.iter().map(|p| p.table().clone()).collect(),
+            // By value: each protocol, and with it its own table, is
+            // dropped as soon as its copy is made, so the run never holds
+            // two copies of every table.
+            tables: self
+                .protocols
+                .into_iter()
+                .map(|p| p.table().clone())
+                .collect(),
             deliveries: world.deliveries,
             collisions: self.collisions,
             impairment_losses: world.impairment_losses,

@@ -10,6 +10,10 @@
 //! (slots decided in place into the engine's reused action buffer, dead
 //! air tallied, then one stepped slot) allocates nothing.
 //!
+//! Two byte-counting checks ride along: attaching a fault plan allocates
+//! per node, not per node pair, and finishing a run holds at most one
+//! extra neighbor table at a time while it copies the tables out.
+//!
 //! A process-global counting allocator cannot distinguish threads, and
 //! libtest's main thread allocates while a test runs on its own thread.
 //! So this file opts out of the libtest harness (`harness = false` in
@@ -27,29 +31,73 @@ use mmhew_util::{SeedTree, Xoshiro256StarStar};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Counts every allocation (fresh, zeroed, or growing) since startup.
+/// Counts every allocation (fresh, zeroed, or growing) since startup, and
+/// the bytes live now and at the peak since [`reset_peak`].
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
+static PEAK_BYTES: AtomicU64 = AtomicU64::new(0);
+
+fn grew(bytes: usize) {
+    let live = LIVE_BYTES.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
+    PEAK_BYTES.fetch_max(live, Ordering::Relaxed);
+}
+
+fn shrank(bytes: usize) {
+    LIVE_BYTES.fetch_sub(bytes as u64, Ordering::Relaxed);
+}
+
+/// Bytes allocated and not yet freed.
+fn live_bytes() -> u64 {
+    LIVE_BYTES.load(Ordering::Relaxed)
+}
+
+/// Restarts the peak from the bytes live now.
+fn reset_peak() {
+    PEAK_BYTES.store(live_bytes(), Ordering::Relaxed);
+}
+
+/// The most bytes live at once since [`reset_peak`].
+fn peak_bytes() -> u64 {
+    PEAK_BYTES.load(Ordering::Relaxed)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
+        let ptr = System.alloc(layout);
+        if !ptr.is_null() {
+            grew(layout.size());
+        }
+        ptr
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
+        System.dealloc(ptr, layout);
+        shrank(layout.size());
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
+        let new = System.realloc(ptr, layout, new_size);
+        if !new.is_null() {
+            if new_size >= layout.size() {
+                grew(new_size - layout.size());
+            } else {
+                shrank(layout.size() - new_size);
+            }
+        }
+        new
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc_zeroed(layout)
+        let ptr = System.alloc_zeroed(layout);
+        if !ptr.is_null() {
+            grew(layout.size());
+        }
+        ptr
     }
 }
 
@@ -122,6 +170,99 @@ fn metronomes(net: &Network, period: u64) -> Vec<Box<dyn SyncProtocol>> {
 fn main() {
     warm_engine_slot_loop_allocates_nothing();
     println!("test warm_engine_slot_loop_allocates_nothing ... ok");
+    attaching_faults_allocates_per_node_not_per_pair();
+    println!("test attaching_faults_allocates_per_node_not_per_pair ... ok");
+    finishing_a_run_copies_one_table_at_a_time();
+    println!("test finishing_a_run_copies_one_table_at_a_time ... ok");
+}
+
+/// A Gilbert–Elliott default covers every directed link, but the fault
+/// runtime holds a link's chain only once the link is heard: attaching
+/// the plan to a 4 096-node ring costs per-node tally buffers, not a
+/// state for each of the 16.8 million node pairs.
+fn attaching_faults_allocates_per_node_not_per_pair() {
+    let net = NetworkBuilder::ring(4_096)
+        .universe(3)
+        .availability(AvailabilityModel::UniformSubset { size: 2 })
+        .build(SeedTree::new(0xFA17))
+        .expect("build network");
+    let n = net.node_count();
+    let plan = FaultPlan::new().with_default_loss(LinkLossModel::GilbertElliott(
+        GilbertElliott::bursty(0.3, 8.0),
+    ));
+    let engine = SyncEngine::new(&net, metronomes(&net, 4), vec![0; n], SeedTree::new(11));
+    let before = live_bytes();
+    reset_peak();
+    let mut engine = engine.with_faults(plan);
+    let attached = peak_bytes() - before;
+    assert!(
+        attached < 1 << 20,
+        "attaching a Gilbert–Elliott plan to a {n}-node ring allocated {attached} bytes"
+    );
+    // The attached plan is live: beacons are heard and some are lost.
+    let config = SyncRunConfig::fixed(u64::MAX);
+    let delivered: usize = (0..200)
+        .map(|_| engine.step(&config).deliveries.len())
+        .sum();
+    assert!(delivered > 0, "the faulted ring must still deliver");
+}
+
+/// Building the outcome copies every neighbor table out of its protocol.
+/// Each protocol is dropped as soon as its copy is made, so while the
+/// outcome is built the live bytes rise by the outcome's own vectors and
+/// at most one table, not by a second copy of every table.
+fn finishing_a_run_copies_one_table_at_a_time() {
+    // One transmitter per slot on a complete graph with every channel
+    // available: within 3 periods every node has heard every other.
+    let n = 64;
+    let net = NetworkBuilder::complete(n)
+        .universe(3)
+        .availability(AvailabilityModel::Full)
+        .build(SeedTree::new(0x7AB1E))
+        .expect("build network");
+    let mut engine = SyncEngine::new(
+        &net,
+        metronomes(&net, n as u64),
+        vec![0; n],
+        SeedTree::new(12),
+    );
+    let config = SyncRunConfig::fixed(u64::MAX);
+    for _ in 0..4 * n {
+        engine.step(&config);
+    }
+    // As the benchmark's `finish` does: run to the slot already reached.
+    let slot = engine.current_slot();
+    let before = live_bytes();
+    reset_peak();
+    let outcome = engine.run(SyncRunConfig::fixed(slot));
+    let rise = peak_bytes() - before;
+    assert!(outcome.completed(), "every table must be full");
+    // What one copy of each table costs, measured by cloning it.
+    let table_bytes: Vec<u64> = outcome
+        .tables()
+        .iter()
+        .map(|table| {
+            let before = live_bytes();
+            let copy = table.clone();
+            let bytes = live_bytes() - before;
+            drop(copy);
+            bytes
+        })
+        .collect();
+    let largest = table_bytes.iter().copied().max().unwrap_or(0);
+    let every_table: u64 = table_bytes.iter().sum();
+    let vectors =
+        std::mem::size_of_val(outcome.link_coverage()) + std::mem::size_of_val(outcome.tables());
+    let allowed = vectors as u64 + largest;
+    assert!(
+        every_table > 4 * largest,
+        "the tables must outweigh one table for the check to mean anything"
+    );
+    assert!(
+        rise <= allowed,
+        "building the outcome raised live bytes by {rise}, over the outcome's vectors \
+         ({vectors}) plus one table ({largest}); every table together is {every_table}"
+    );
 }
 
 fn warm_engine_slot_loop_allocates_nothing() {
@@ -162,9 +303,10 @@ fn warm_engine_slot_loop_allocates_nothing() {
     }
 
     // A dense fault plan must preserve the zero-allocation steady state:
-    // per-link Gilbert–Elliott chains, a permanent jammer on channel 0,
-    // and a crash outage that transitions *during* the audited window all
-    // run out of scratch pre-reserved at construction.
+    // per-link Gilbert–Elliott chains (each created when warm-up first
+    // hears its link), a permanent jammer on channel 0, and a crash outage
+    // that transitions *during* the audited window all run out of state
+    // built before the audited window.
     let plan = FaultPlan::new()
         .with_default_loss(LinkLossModel::GilbertElliott(GilbertElliott::bursty(
             0.3, 8.0,

@@ -1,18 +1,49 @@
-//! The runtime the engines drive: link channel states, crash bitmap,
-//! schedule cursors, and reusable per-resolution tally buffers.
+//! The runtime the engines drive: per-pair link loss state, crash
+//! bitmap, schedule cursors, and reusable per-resolution tally buffers.
 
-use crate::loss::{bernoulli_delivers, GilbertElliott, LinkLossModel};
+use crate::loss::{bernoulli_delivers, LinkLossModel};
 use crate::plan::FaultPlan;
 use mmhew_spectrum::{ChannelId, ChannelSet};
 use mmhew_topology::NodeId;
 use rand::Rng;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
-/// Per-directed-link runtime loss state.
+/// The loss state of one directed pair that carries one: the index of
+/// its model in [`ActiveFaults`]' model table and, under a
+/// Gilbert–Elliott model, whether its chain is in the bad state. Eight
+/// bytes, so a map entry costs sixteen.
 #[derive(Debug, Clone, Copy)]
-enum LinkState {
-    None,
-    Bernoulli { delivery: f64 },
-    Ge { model: GilbertElliott, bad: bool },
+struct PairState {
+    model: u32,
+    bad: bool,
+}
+
+/// Hashes a packed pair key `(from << 32) | to` with one folded 128-bit
+/// multiply. The hash is fixed rather than seeded per process: the map is
+/// only ever probed by key, never iterated, so its order is never
+/// observed, and its keys are node ids of the simulated network, not
+/// input that could be crafted to collide.
+#[derive(Debug, Default, Clone, Copy)]
+struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ u64::from(b));
+        }
+    }
+
+    #[inline]
+    fn write_u64(&mut self, key: u64) {
+        let product = u128::from(key) * 0x9E37_79B9_7F4A_7C15;
+        self.0 = (product as u64) ^ (product >> 64) as u64;
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
 }
 
 /// A collision resolved by capture: `to` heard `from` out of `contenders`
@@ -40,9 +71,13 @@ pub struct CrashTransition {
 /// Runtime fault state for one engine run.
 ///
 /// Built once from a [`FaultPlan`] (the engines skip construction entirely
-/// when the plan [`is_empty`](FaultPlan::is_empty)); all buffers are
-/// pre-sized at construction so the steady-state hot loop performs no heap
-/// allocation.
+/// when the plan [`is_empty`](FaultPlan::is_empty)). Link loss state is
+/// kept per directed pair, and only for the pairs that need it: every
+/// override, from construction, and every pair under a Gilbert–Elliott
+/// default, from the first time it is heard. Memory therefore grows with
+/// the links a run hears, never with node pairs. The tally buffers are
+/// pre-sized at construction, so once every link has been heard the
+/// steady-state hot loop performs no heap allocation.
 ///
 /// Time flows through [`advance_to`](Self::advance_to) with nondecreasing
 /// unit-agnostic stamps (slot indices or nanoseconds); per-resolution
@@ -52,11 +87,17 @@ pub struct CrashTransition {
 #[derive(Debug, Clone)]
 pub struct ActiveFaults {
     plan: FaultPlan,
-    /// Dense `stride × stride` matrix of link states (`from·stride + to`).
-    /// Nodes joining beyond the initial population (dynamics `NodeJoin`)
-    /// index past the matrix and are treated as fault-free.
-    stride: usize,
-    links: Vec<LinkState>,
+    /// Node ids at or past this count are fault-free.
+    nodes: usize,
+    /// Every loss model the plan names: its default first, if it has one
+    /// (the model of every pair without an entry in `pairs`), then the
+    /// model of each override within the node count, in plan order.
+    models: Vec<LinkLossModel>,
+    /// Loss state by packed pair key `(from << 32) | to`: each override
+    /// (the last one given for a pair wins) and each Gilbert–Elliott
+    /// default pair heard so far. Bernoulli default pairs hold no state
+    /// and need no entry.
+    pairs: HashMap<u64, PairState, BuildHasherDefault<PairHasher>>,
     any_link_loss: bool,
     crashed: Vec<bool>,
     crash_cursor: usize,
@@ -71,23 +112,29 @@ pub struct ActiveFaults {
 
 impl ActiveFaults {
     /// Builds the runtime for `nodes` nodes over a `universe`-channel
-    /// spectrum.
+    /// spectrum, in time linear in `nodes` and the plan's overrides.
+    /// Overrides naming a node at or past `nodes` are ignored.
     pub fn new(plan: FaultPlan, nodes: usize, universe: usize) -> Self {
-        let stride = nodes;
-        let default = plan
-            .default_loss()
-            .map_or(LinkState::None, LinkState::from_model);
-        let mut links = vec![default; stride * stride];
+        let mut models: Vec<LinkLossModel> = plan.default_loss().into_iter().copied().collect();
+        let mut pairs = HashMap::default();
         for &(from, to, model) in plan.link_overrides() {
-            let (f, t) = (from.as_usize(), to.as_usize());
-            if f < stride && t < stride {
-                links[f * stride + t] = LinkState::from_model(&model);
+            if from.as_usize() < nodes && to.as_usize() < nodes {
+                let index = u32::try_from(models.len()).expect("fewer than 2³² link overrides");
+                models.push(model);
+                pairs.insert(
+                    pair_key(from, to),
+                    PairState {
+                        model: index,
+                        bad: false,
+                    },
+                );
             }
         }
         let any_link_loss = plan.default_loss().is_some() || !plan.link_overrides().is_empty();
         Self {
-            stride,
-            links,
+            nodes,
+            models,
+            pairs,
             any_link_loss,
             crashed: vec![false; nodes],
             crash_cursor: 0,
@@ -192,8 +239,10 @@ impl ActiveFaults {
     }
 
     /// Draws the loss model of the directed link `from → to` (advancing
-    /// its Gilbert–Elliott chain if it has one). Links without a model
-    /// deliver unconditionally and consume no RNG. A loss is tallied into
+    /// its Gilbert–Elliott chain if it has one, which starts in the good
+    /// state on the link's first call). Links without a model, and links
+    /// touching a node at or past the runtime's node count, deliver
+    /// unconditionally and consume no RNG. A loss is tallied into
     /// [`beacon_losses`](Self::beacon_losses).
     pub fn link_delivers<R: Rng + ?Sized>(
         &mut self,
@@ -201,17 +250,24 @@ impl ActiveFaults {
         to: NodeId,
         rng: &mut R,
     ) -> bool {
-        if !self.any_link_loss {
+        if !self.any_link_loss || from.as_usize() >= self.nodes || to.as_usize() >= self.nodes {
             return true;
         }
-        let (f, t) = (from.as_usize(), to.as_usize());
-        if f >= self.stride || t >= self.stride {
-            return true;
-        }
-        let delivered = match &mut self.links[f * self.stride + t] {
-            LinkState::None => true,
-            LinkState::Bernoulli { delivery } => bernoulli_delivers(*delivery, rng),
-            LinkState::Ge { model, bad } => !model.step(bad, rng),
+        let key = pair_key(from, to);
+        let delivered = if let Some(state) = self.pairs.get_mut(&key) {
+            state.delivers(&self.models, rng)
+        } else if self.plan.default_loss().is_some() {
+            let mut state = PairState {
+                model: 0,
+                bad: false,
+            };
+            let delivered = state.delivers(&self.models, rng);
+            if let LinkLossModel::GilbertElliott(_) = self.models[0] {
+                self.pairs.insert(key, state);
+            }
+            delivered
+        } else {
+            true
         };
         if !delivered {
             self.beacon_losses.push((from, to));
@@ -276,17 +332,24 @@ impl ActiveFaults {
     }
 }
 
-impl LinkState {
-    fn from_model(model: &LinkLossModel) -> Self {
-        match *model {
+/// The map key of the directed pair `from → to`.
+#[inline]
+fn pair_key(from: NodeId, to: NodeId) -> u64 {
+    (u64::from(from.index()) << 32) | u64::from(to.index())
+}
+
+impl PairState {
+    /// One use of the pair's link under its model in `models`: `true` if
+    /// the beacon gets through. Chains start in the good state; burn-in
+    /// is the caller's choice (discovery runs are long next to burst
+    /// lengths).
+    #[inline]
+    fn delivers<R: Rng + ?Sized>(&mut self, models: &[LinkLossModel], rng: &mut R) -> bool {
+        match &models[self.model as usize] {
             LinkLossModel::Bernoulli {
                 delivery_probability,
-            } => LinkState::Bernoulli {
-                delivery: delivery_probability,
-            },
-            // Chains start in the good state; burn-in is the caller's
-            // choice (discovery runs are long next to burst lengths).
-            LinkLossModel::GilbertElliott(model) => LinkState::Ge { model, bad: false },
+            } => bernoulli_delivers(*delivery_probability, rng),
+            LinkLossModel::GilbertElliott(model) => !model.step(&mut self.bad, rng),
         }
     }
 }
@@ -426,13 +489,13 @@ mod tests {
     }
 
     #[test]
-    fn out_of_matrix_nodes_are_fault_free() {
+    fn nodes_past_the_count_are_fault_free() {
         let plan = FaultPlan::new().with_default_loss(LinkLossModel::Bernoulli {
             delivery_probability: 0.0,
         });
         let mut active = ActiveFaults::new(plan, 2, 2);
         let mut rng = SeedTree::new(4).rng();
-        // A node joined later (index 5) is outside the 2×2 matrix.
+        // Node 5 is past the runtime's 2 nodes.
         assert!(active.link_delivers(n(5), n(0), &mut rng));
         assert!(!active.is_crashed(n(9)));
     }

@@ -23,9 +23,11 @@
 //!   removes the node from the ground truth entirely.
 //!
 //! [`ActiveFaults`] is the runtime the engines drive: it holds the
-//! per-link channel states, the crash bitmap, schedule cursors, and
-//! reusable per-slot tally buffers so the steady-state hot loop performs
-//! no heap allocation.
+//! channel state of each link that needs one (overrides, and
+//! Gilbert–Elliott links once heard), the crash bitmap, schedule cursors,
+//! and reusable per-slot tally buffers, so its memory grows with the
+//! links heard rather than with node pairs, and the steady-state hot loop
+//! performs no heap allocation.
 //!
 //! # Neutrality
 //!

@@ -86,37 +86,62 @@ fn build_network(args: &Args, seed: SeedTree) -> Result<Network, Box<dyn std::er
     let nodes: usize = args.get_checked("nodes", 16, expected, |&n| n >= min_nodes)?;
     let width: usize = args.get_checked("width", 4, "positive", |&w| w > 0)?;
     let height: usize = args.get_checked("height", 4, "positive", |&h| h > 0)?;
-    // Reject node counts whose fixed CSR + arena storage would blow the
-    // memory cap *before* any allocation happens, with an error that
-    // names the estimate instead of OOMing mid-build. A grid has
-    // width × height nodes, whatever `--nodes` says.
+    // The builder, and the directed links its topology implies: exact
+    // for the deterministic shapes, the expectation for the random ones.
+    let both_ways = |edges: u64| edges.saturating_mul(2);
+    let n = nodes as u64;
+    let (builder, links) = match topology {
+        "line" => (NetworkBuilder::line(nodes), both_ways(n.saturating_sub(1))),
+        "star" => (NetworkBuilder::star(nodes), both_ways(n.saturating_sub(1))),
+        "ring" => (NetworkBuilder::ring(nodes), both_ways(n)),
+        "grid" => {
+            let (w, h) = (width as u64, height as u64);
+            let edges = (w - 1)
+                .saturating_mul(h)
+                .saturating_add(w.saturating_mul(h - 1));
+            (NetworkBuilder::grid(width, height), both_ways(edges))
+        }
+        "complete" => (
+            NetworkBuilder::complete(nodes),
+            n.saturating_mul(n.saturating_sub(1)),
+        ),
+        "disk" => {
+            let side = args.get_checked("side", 10.0, "positive and finite", |s: &f64| {
+                *s > 0.0 && s.is_finite()
+            })?;
+            let radius =
+                args.get_checked("radius", 3.0, "non-negative and finite", |r: &f64| {
+                    *r >= 0.0 && r.is_finite()
+                })?;
+            // Expected degree: the disk's share of the square, at most
+            // every other node. Float-to-integer casts saturate.
+            let others = n.saturating_sub(1) as f64;
+            let degree =
+                (others * std::f64::consts::PI * radius * radius / (side * side)).min(others);
+            (
+                NetworkBuilder::unit_disk(nodes, side, radius),
+                (n as f64 * degree).ceil() as u64,
+            )
+        }
+        "er" => {
+            let p = args.get_checked("edge-prob", 0.3, "in [0, 1]", |p| (0.0..=1.0).contains(p))?;
+            (
+                NetworkBuilder::erdos_renyi(nodes, p),
+                (p * n as f64 * n.saturating_sub(1) as f64).ceil() as u64,
+            )
+        }
+        _ => unreachable!("one_of validated"),
+    };
+    // Reject networks whose storage would blow the memory cap *before*
+    // any allocation happens, with an error that names the estimate
+    // instead of OOMing mid-build. A grid has width × height nodes,
+    // whatever `--nodes` says.
     let (count, flags) = match topology {
         "grid" => (width.saturating_mul(height), "--width × --height"),
         _ => (nodes, "--nodes"),
     };
-    mmhew_topology::check_storage_cap(count as u64, universe)
+    mmhew_topology::check_storage_cap(count as u64, universe, links)
         .map_err(|e| FlagError(format!("{flags}: {e}")))?;
-    let builder = match topology {
-        "line" => NetworkBuilder::line(nodes),
-        "ring" => NetworkBuilder::ring(nodes),
-        "grid" => NetworkBuilder::grid(width, height),
-        "star" => NetworkBuilder::star(nodes),
-        "complete" => NetworkBuilder::complete(nodes),
-        "disk" => NetworkBuilder::unit_disk(
-            nodes,
-            args.get_checked("side", 10.0, "positive and finite", |s: &f64| {
-                *s > 0.0 && s.is_finite()
-            })?,
-            args.get_checked("radius", 3.0, "non-negative and finite", |r: &f64| {
-                *r >= 0.0 && r.is_finite()
-            })?,
-        ),
-        "er" => NetworkBuilder::erdos_renyi(
-            nodes,
-            args.get_checked("edge-prob", 0.3, "in [0, 1]", |p| (0.0..=1.0).contains(p))?,
-        ),
-        _ => unreachable!("one_of validated"),
-    };
     let availability =
         match args.one_of("availability", &["subset", "full", "overlap", "spatial"])? {
             "full" => AvailabilityModel::Full,

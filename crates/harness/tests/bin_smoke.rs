@@ -184,6 +184,31 @@ fn bad_flag_values_fail_by_name() {
             "--primaries",
             &["--availability", "spatial", "--primaries", "4000000000"],
         ),
+        // Few nodes, but the links a dense topology implies exceed the cap.
+        (
+            simulate,
+            "--nodes",
+            &["--topology", "complete", "--nodes", "30000"],
+        ),
+        (
+            simulate,
+            "--nodes",
+            &["--topology", "er", "--nodes", "30000", "--edge-prob", "0.5"],
+        ),
+        (
+            simulate,
+            "--nodes",
+            &[
+                "--topology",
+                "disk",
+                "--nodes",
+                "60000",
+                "--side",
+                "1",
+                "--radius",
+                "1",
+            ],
+        ),
         (simulate, "--delta-est", &["--delta-est", "0"]),
         (simulate, "--universe", &["--universe", "0"]),
         (simulate, "--set-size", &["--set-size", "0"]),

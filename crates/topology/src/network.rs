@@ -930,18 +930,28 @@ impl Network {
     }
 }
 
-/// Estimated resident bytes of a network's fixed-cost storage: the two
-/// CSR offset arrays (`2 · (N·S + 1) · 4` bytes) plus the availability
-/// arena (`N · ⌈S/64⌉ · 8` bytes). Adjacency ids scale with the edge
-/// count, which depends on density, so this is the *floor* — the part
-/// that `N·S` word math alone determines and the part that silently OOMs
-/// a careless `--nodes 10000000` invocation. Saturates at `u64::MAX`, so
-/// no node count wraps around to a small estimate.
-pub fn estimate_storage_bytes(nodes: u64, universe: u16) -> u64 {
+/// Bytes each directed link costs at least: 8 in the link inventory, 8 in
+/// the topology's adjacency lists (`from`'s out-list and `to`'s in-list),
+/// and 8 in the two CSR id arrays when its endpoints share one channel.
+const STORAGE_BYTES_PER_LINK: u64 = 24;
+
+/// Estimated resident bytes of a network's storage: the two CSR offset
+/// arrays (`2 · (N·S + 1) · 4` bytes), the availability arena
+/// (`N · ⌈S/64⌉ · 8` bytes), and at least 24 bytes for each of `links`
+/// directed links (8 in the link inventory, 8 in the topology's adjacency
+/// lists, 8 in the two CSR id arrays at one common channel). `links` is
+/// the link count the topology implies: exact for a deterministic shape
+/// (`N·(N−1)` for a complete graph), the expectation for a random one
+/// (`p·N·(N−1)` for Erdős–Rényi). The link term is a floor: a link whose
+/// endpoints share several channels takes more CSR ids. Saturates at
+/// `u64::MAX`, so no node or link count wraps around to a small estimate.
+pub fn estimate_storage_bytes(nodes: u64, universe: u16, links: u64) -> u64 {
     let s = u64::from(universe.max(1));
     let stride = s.div_ceil(64).max(1);
     let offsets = nodes.saturating_mul(s).saturating_add(1).saturating_mul(8);
-    offsets.saturating_add(nodes.saturating_mul(stride).saturating_mul(8))
+    offsets
+        .saturating_add(nodes.saturating_mul(stride).saturating_mul(8))
+        .saturating_add(links.saturating_mul(STORAGE_BYTES_PER_LINK))
 }
 
 /// Default cap for [`check_storage_cap`]: 8 GiB.
@@ -965,7 +975,9 @@ pub struct StorageCapError {
     pub nodes: u64,
     /// Requested universe size.
     pub universe: u16,
-    /// Estimated fixed-cost bytes ([`estimate_storage_bytes`]).
+    /// Directed links the requested topology implies.
+    pub links: u64,
+    /// Estimated bytes ([`estimate_storage_bytes`]).
     pub estimate: u64,
     /// The cap in effect ([`storage_cap_bytes`]).
     pub cap: u64,
@@ -975,11 +987,12 @@ impl fmt::Display for StorageCapError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "a {}-node network over {} channels needs an estimated {} MiB \
-             of adjacency offsets + availability words, over the {} MiB cap \
-             (set MMHEW_MEM_CAP_BYTES to raise it)",
+            "a {}-node network over {} channels with about {} directed links needs \
+             an estimated {} MiB of adjacency offsets, availability words and link \
+             storage, over the {} MiB cap (set MMHEW_MEM_CAP_BYTES to raise it)",
             self.nodes,
             self.universe,
+            self.links,
             self.estimate / (1024 * 1024),
             self.cap / (1024 * 1024),
         )
@@ -988,22 +1001,24 @@ impl fmt::Display for StorageCapError {
 
 impl std::error::Error for StorageCapError {}
 
-/// Validates that `nodes × universe` fixed storage fits under the cap,
-/// returning the estimate-naming error otherwise. Call this *before*
-/// building a large network so an oversized `--nodes` request fails with
-/// arithmetic instead of the OOM killer.
+/// Validates that the storage of a `nodes`-node network over `universe`
+/// channels with `links` directed links fits under the cap, returning the
+/// estimate-naming error otherwise. Call this *before* building a large
+/// network so an oversized `--nodes` request fails with arithmetic
+/// instead of the OOM killer.
 ///
 /// # Errors
 ///
 /// [`StorageCapError`] when [`estimate_storage_bytes`] exceeds
 /// [`storage_cap_bytes`].
-pub fn check_storage_cap(nodes: u64, universe: u16) -> Result<(), StorageCapError> {
-    let estimate = estimate_storage_bytes(nodes, universe);
+pub fn check_storage_cap(nodes: u64, universe: u16, links: u64) -> Result<(), StorageCapError> {
+    let estimate = estimate_storage_bytes(nodes, universe, links);
     let cap = storage_cap_bytes();
     if estimate > cap {
         return Err(StorageCapError {
             nodes,
             universe,
+            links,
             estimate,
             cap,
         });
@@ -1511,15 +1526,36 @@ mod tests {
     #[test]
     fn storage_estimate_and_cap() {
         // 1M nodes × 8 channels: 2·(8M+1)·4 B of offsets + 1M·8 B of arena.
-        let est = estimate_storage_bytes(1_000_000, 8);
+        let est = estimate_storage_bytes(1_000_000, 8, 0);
         assert_eq!(est, 2 * (8_000_000 + 1) * 4 + 1_000_000 * 8);
-        assert!(check_storage_cap(1_000_000, 8).is_ok());
-        let err = check_storage_cap(u64::MAX / 1_000, 64).expect_err("over any sane cap");
+        assert!(check_storage_cap(1_000_000, 8, 0).is_ok());
+        let err = check_storage_cap(u64::MAX / 1_000, 64, 0).expect_err("over any sane cap");
         let msg = err.to_string();
         assert!(msg.contains("MiB"), "names the estimate: {msg}");
         assert!(msg.contains("MMHEW_MEM_CAP_BYTES"), "names the knob: {msg}");
-        assert_eq!(err.estimate, estimate_storage_bytes(err.nodes, 64));
+        assert_eq!(err.estimate, estimate_storage_bytes(err.nodes, 64, 0));
         // 2⁶¹ nodes × 8 channels would wrap a plain product to 8 bytes.
-        assert_eq!(estimate_storage_bytes(1 << 61, 8), u64::MAX);
+        assert_eq!(estimate_storage_bytes(1 << 61, 8, 0), u64::MAX);
+        assert_eq!(estimate_storage_bytes(4, 8, u64::MAX / 2), u64::MAX);
+    }
+
+    #[test]
+    fn storage_estimate_counts_the_links_a_dense_topology_implies() {
+        // Each directed link adds its 24 bytes on top of the node terms.
+        let nodes_only = estimate_storage_bytes(1_000, 8, 0);
+        assert_eq!(
+            estimate_storage_bytes(1_000, 8, 999_000),
+            nodes_only + 999_000 * STORAGE_BYTES_PER_LINK
+        );
+        // A complete graph on 30 000 nodes implies about 9·10⁸ directed
+        // links, over 20 GB, while its node terms alone are a few MB.
+        let links = 30_000 * 29_999;
+        assert!(check_storage_cap(30_000, 8, 0).is_ok());
+        let err = check_storage_cap(30_000, 8, links).expect_err("links alone exceed the cap");
+        assert_eq!(err.links, links);
+        assert!(err.estimate >= links * 24);
+        let msg = err.to_string();
+        assert!(msg.contains("899970000 directed links"), "{msg}");
+        assert!(msg.contains("MiB"), "names the estimate: {msg}");
     }
 }
