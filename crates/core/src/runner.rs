@@ -112,15 +112,17 @@ pub fn tables_match_ground_truth(network: &Network, tables: &[NeighborTable]) ->
 /// True if no node's table contains a false discovery: every recorded
 /// neighbor is a true neighbor and the recorded common set never exceeds
 /// the true intersection. Holds for any partial run of a correct protocol.
+///
+/// A table and the ground truth both ascend by neighbor, so each node
+/// costs one merge of the two.
 pub fn tables_are_sound(network: &Network, tables: &[NeighborTable]) -> bool {
     tables.iter().enumerate().all(|(i, table)| {
-        let u = NodeId::new(i as u32);
-        let expected = network.expected_discovery(u);
+        let expected = network.expected_discovery(NodeId::new(i as u32));
+        let mut truths = expected.iter();
         table.iter().all(|(v, recorded)| {
-            expected
-                .iter()
-                .find(|(ev, _)| *ev == v)
-                .is_some_and(|(_, truth)| recorded.is_subset(truth))
+            truths
+                .find(|(ev, _)| *ev >= v)
+                .is_some_and(|(ev, truth)| *ev == v && recorded.is_subset(truth))
         })
     })
 }
@@ -138,7 +140,7 @@ mod tests {
     use mmhew_faults::{FaultPlan, LinkLossModel};
     use mmhew_spectrum::{AvailabilityModel, ChannelSet};
     use mmhew_time::{DriftBound, DriftModel, LocalDuration, RealDuration};
-    use mmhew_topology::{NetworkBuilder, NetworkEvent};
+    use mmhew_topology::{NetworkBuilder, NetworkEvent, Propagation};
     use mmhew_util::SeedTree;
 
     fn small_net() -> Network {
@@ -494,6 +496,95 @@ mod tests {
         assert!(out.completed(), "repetition should overcome 60% loss");
         assert!(tables_match_ground_truth(&net, out.tables()));
         assert!(out.beacon_losses() > 0, "the channel really was lossy");
+    }
+
+    /// `tables_are_sound` as it was: a linear search of the ground truth
+    /// for every table entry.
+    fn tables_are_sound_by_search(network: &Network, tables: &[NeighborTable]) -> bool {
+        tables.iter().enumerate().all(|(i, table)| {
+            let expected = network.expected_discovery(NodeId::new(i as u32));
+            table.iter().all(|(v, recorded)| {
+                expected
+                    .iter()
+                    .find(|(ev, _)| *ev == v)
+                    .is_some_and(|(_, truth)| recorded.is_subset(truth))
+            })
+        })
+    }
+
+    #[test]
+    fn sound_tables_merge_agrees_with_the_search() {
+        use rand::Rng;
+        mmhew_util::prop::check("sound_tables_merge_agrees_with_the_search", 128, |rng| {
+            let n = rng.gen_range(2usize..14);
+            let builder = match rng.gen_range(0..3u32) {
+                0 => NetworkBuilder::erdos_renyi(n, rng.gen_range(0.0f64..1.0)),
+                1 => NetworkBuilder::unit_disk(n, 6.0, rng.gen_range(0.5f64..4.0)),
+                _ => NetworkBuilder::asymmetric_disk(n, 6.0, 0.5, 4.0),
+            };
+            let propagation = if rng.gen_bool(0.5) {
+                Propagation::Uniform
+            } else {
+                Propagation::PerChannelRange {
+                    ranges: (0..6).map(|_| rng.gen_range(0.0f64..6.0)).collect(),
+                }
+            };
+            let mut net = builder
+                .universe(6)
+                .availability(AvailabilityModel::UniformSubset { size: 3 })
+                .propagation(propagation)
+                .build(SeedTree::new(rng.gen_range(0u64..u64::MAX)))
+                .expect("build");
+            if rng.gen_bool(0.3) {
+                let (a, b) = (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32));
+                net.apply_all(&[
+                    NetworkEvent::EdgeAdd {
+                        from: NodeId::new(a),
+                        to: NodeId::new(b),
+                    },
+                    NetworkEvent::NodeLeave {
+                        node: NodeId::new(b),
+                    },
+                ])
+                .expect("valid events");
+            }
+            // Entries for true neighbors and for non-adjacent nodes, each
+            // with a subset, the truth or a superset of the true common set.
+            let tables: Vec<NeighborTable> = (0..n)
+                .map(|u| {
+                    let mut table = NeighborTable::new();
+                    for v in 0..n as u32 {
+                        if rng.gen_bool(0.4) {
+                            let set: ChannelSet = (0..6u16).filter(|_| rng.gen_bool(0.4)).collect();
+                            let truth = net
+                                .available(NodeId::new(v))
+                                .intersection(net.available(NodeId::new(u as u32)));
+                            let recorded = if rng.gen_bool(0.7) {
+                                truth.intersection(&set)
+                            } else {
+                                set
+                            };
+                            table.record(NodeId::new(v), recorded);
+                        }
+                    }
+                    table
+                })
+                .collect();
+            assert_eq!(
+                tables_are_sound(&net, &tables),
+                tables_are_sound_by_search(&net, &tables)
+            );
+            // One table at a time, so each node's verdict counts.
+            for (u, table) in tables.iter().enumerate() {
+                let mut alone = vec![NeighborTable::new(); n];
+                alone[u] = table.clone();
+                assert_eq!(
+                    tables_are_sound(&net, &alone),
+                    tables_are_sound_by_search(&net, &alone),
+                    "table of n{u}: {table:?}"
+                );
+            }
+        });
     }
 
     #[test]

@@ -10,9 +10,10 @@
 //! (slots decided in place into the engine's reused action buffer, dead
 //! air tallied, then one stepped slot) allocates nothing.
 //!
-//! Two byte-counting checks ride along: attaching a fault plan allocates
-//! per node, not per node pair, and finishing a run holds at most one
-//! extra neighbor table at a time while it copies the tables out.
+//! Three byte-counting checks ride along: attaching a fault plan allocates
+//! per node, not per node pair; finishing a run holds at most one extra
+//! neighbor table at a time while it copies the tables out; and a built
+//! network keeps no spare capacity, nor holds much more while it builds.
 //!
 //! A process-global counting allocator cannot distinguish threads, and
 //! libtest's main thread allocates while a test runs on its own thread.
@@ -174,6 +175,65 @@ fn main() {
     println!("test attaching_faults_allocates_per_node_not_per_pair ... ok");
     finishing_a_run_copies_one_table_at_a_time();
     println!("test finishing_a_run_copies_one_table_at_a_time ... ok");
+    a_built_network_keeps_no_spare_capacity();
+    println!("test a_built_network_keeps_no_spare_capacity ... ok");
+}
+
+/// What a network's contents need, summed from its public accessors:
+/// every adjacency list, CSR row and link at its length, the two CSR
+/// offset arrays, and per node a position, its availability words and the
+/// headers of its two adjacency lists.
+fn content_bytes(net: &Network) -> u64 {
+    let topology = net.topology();
+    let (n, s) = (net.node_count(), net.universe_size());
+    let lists: usize = topology
+        .nodes()
+        .map(|u| topology.out_neighbors(u).len() + topology.in_neighbors(u).len())
+        .sum();
+    let rows: usize = topology
+        .nodes()
+        .flat_map(|u| (0..s).map(move |c| (u, ChannelId::new(c))))
+        .map(|(u, c)| net.neighbors_on(u, c).len() + net.receivers_on(u, c).len())
+        .sum();
+    let offsets = 2 * (n * s as usize + 1) * size_of::<u32>();
+    let per_node = 2 * size_of::<Vec<NodeId>>()
+        + size_of::<(f64, f64)>()
+        + (s as usize).div_ceil(64) * size_of::<u64>();
+    ((lists + rows) * size_of::<NodeId>() + size_of_val(net.links()) + offsets + n * per_node)
+        as u64
+}
+
+/// Every adjacency list, CSR array and the link inventory is allocated at
+/// (or shrunk to) its final length, so a built network's live bytes are
+/// what its contents need; and the build's transient scratch (the edge
+/// stream, the cell index, staging rows) stays small beside the result.
+/// A 20 000-node unit disk (mean degree about 9.9) and a 1 000-node
+/// complete graph, both over 8 channels with 4-channel subsets.
+fn a_built_network_keeps_no_spare_capacity() {
+    for builder in [
+        NetworkBuilder::unit_disk(20_000, 447.2, 5.6),
+        NetworkBuilder::complete(1_000),
+    ] {
+        let builder = builder
+            .universe(8)
+            .availability(AvailabilityModel::UniformSubset { size: 4 });
+        let before = live_bytes();
+        reset_peak();
+        let net = builder.build(SeedTree::new(0x5EED)).expect("build network");
+        let finished = live_bytes() - before;
+        let peak = peak_bytes() - before;
+        let needed = content_bytes(&net);
+        assert!(
+            finished * 100 <= needed * 105,
+            "{builder:?}: the network holds {finished} bytes, over 1.05 × the {needed} \
+             its contents need"
+        );
+        assert!(
+            peak * 10 <= finished * 12,
+            "{builder:?}: building peaked at {peak} bytes, over 1.2 × the {finished} \
+             the network holds"
+        );
+    }
 }
 
 /// A Gilbert–Elliott default covers every directed link, but the fault

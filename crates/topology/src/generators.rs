@@ -3,23 +3,34 @@
 //! All generators produce symmetric graphs except [`asymmetric_disk`],
 //! which models nodes with unequal transmit powers (the asymmetric-graph
 //! extension mentioned in the paper's conclusions).
+//!
+//! Each generator lists its edges once, in a fixed order, and builds the
+//! graph with [`Topology::from_edges`], which sizes every adjacency list
+//! before filling it. The result equals adding the same edges one at a
+//! time with [`Topology::add_edge`], whose list order the resolver's
+//! capture draw and every trace follow, without a duplicate scan per
+//! insert. The two geometric generators find each node's partners in a
+//! cell index (a counting sort of the nodes into square cells at least
+//! one reach wide) instead of scanning all pairs.
 
-use crate::graph::Topology;
+use crate::graph::{circle_positions, distance, Topology};
 use crate::node::NodeId;
 use mmhew_util::SeedTree;
 use rand::Rng;
+use std::ops::Range;
+
+/// Both directions of the link `i — j`, as `add_bidirectional` inserts
+/// them.
+fn both_ways(i: usize, j: usize) -> [(NodeId, NodeId); 2] {
+    let (u, v) = (NodeId::new(i as u32), NodeId::new(j as u32));
+    [(u, v), (v, u)]
+}
 
 /// A path of `n` nodes: `0 — 1 — ... — n−1`.
 pub fn line(n: usize) -> Topology {
-    let mut t = Topology::new(n);
-    for i in 1..n {
-        t.add_bidirectional(NodeId::new((i - 1) as u32), NodeId::new(i as u32));
-        t.set_position(NodeId::new(i as u32), (i as f64, 0.0));
-    }
-    if n > 0 {
-        t.set_position(NodeId::new(0), (0.0, 0.0));
-    }
-    t
+    let positions = (0..n).map(|i| (i as f64, 0.0)).collect();
+    let edges: Vec<_> = (1..n).flat_map(|i| both_ways(i - 1, i)).collect();
+    Topology::from_edges(positions, &edges)
 }
 
 /// A cycle of `n ≥ 3` nodes.
@@ -29,11 +40,8 @@ pub fn line(n: usize) -> Topology {
 /// Panics if `n < 3`.
 pub fn ring(n: usize) -> Topology {
     assert!(n >= 3, "a ring needs at least 3 nodes");
-    let mut t = Topology::new(n);
-    for i in 0..n {
-        t.add_bidirectional(NodeId::new(i as u32), NodeId::new(((i + 1) % n) as u32));
-    }
-    t
+    let edges: Vec<_> = (0..n).flat_map(|i| both_ways(i, (i + 1) % n)).collect();
+    Topology::from_edges(circle_positions(n), &edges)
 }
 
 /// A `w × h` grid with 4-neighborhood, positions at integer coordinates.
@@ -43,20 +51,19 @@ pub fn ring(n: usize) -> Topology {
 /// Panics if either dimension is zero.
 pub fn grid(w: usize, h: usize) -> Topology {
     assert!(w > 0 && h > 0, "grid dimensions must be positive");
-    let mut t = Topology::new(w * h);
-    let id = |x: usize, y: usize| NodeId::new((y * w + x) as u32);
-    for y in 0..h {
-        for x in 0..w {
-            t.set_position(id(x, y), (x as f64, y as f64));
-            if x + 1 < w {
-                t.add_bidirectional(id(x, y), id(x + 1, y));
-            }
-            if y + 1 < h {
-                t.add_bidirectional(id(x, y), id(x, y + 1));
-            }
+    let positions = (0..w * h)
+        .map(|i| ((i % w) as f64, (i / w) as f64))
+        .collect();
+    let mut edges = Vec::new();
+    for i in 0..w * h {
+        if i % w + 1 < w {
+            edges.extend(both_ways(i, i + 1));
+        }
+        if i / w + 1 < h {
+            edges.extend(both_ways(i, i + w));
         }
     }
-    t
+    Topology::from_edges(positions, &edges)
 }
 
 /// A star: node 0 is the hub, nodes `1..n` its leaves.
@@ -66,81 +73,144 @@ pub fn grid(w: usize, h: usize) -> Topology {
 /// Panics if `n < 2`.
 pub fn star(n: usize) -> Topology {
     assert!(n >= 2, "a star needs a hub and at least one leaf");
-    let mut t = Topology::new(n);
-    for i in 1..n {
-        t.add_bidirectional(NodeId::new(0), NodeId::new(i as u32));
-    }
-    t.set_position(NodeId::new(0), (0.0, 0.0));
-    t
+    let mut positions = circle_positions(n);
+    positions[0] = (0.0, 0.0);
+    let edges: Vec<_> = (1..n).flat_map(|i| both_ways(0, i)).collect();
+    Topology::from_edges(positions, &edges)
 }
 
 /// The complete graph on `n` nodes (single-hop network).
 pub fn complete(n: usize) -> Topology {
-    let mut t = Topology::new(n);
-    for i in 0..n {
-        for j in (i + 1)..n {
-            t.add_bidirectional(NodeId::new(i as u32), NodeId::new(j as u32));
+    let edges: Vec<_> = (0..n)
+        .flat_map(|i| (i + 1..n).flat_map(move |j| both_ways(i, j)))
+        .collect();
+    Topology::from_edges(circle_positions(n), &edges)
+}
+
+/// Nodes bucketed by a grid of `axis × axis` square cells over the
+/// `side × side` square (a counting sort), each cell's nodes ascending by
+/// id and stored next to their positions, so a cell is one contiguous
+/// read. Cells are at least `reach` wide, so every node within `reach` of
+/// a point lies in the 3×3 block of cells around that point's cell.
+struct CellIndex {
+    side: f64,
+    axis: usize,
+    /// Cell `k` holds entries `starts[k]..starts[k + 1]`; cell `(cx, cy)`
+    /// is `k = cy·axis + cx`.
+    starts: Vec<usize>,
+    ids: Vec<u32>,
+    /// `points[e]` is the position of node `ids[e]`.
+    points: Vec<(f64, f64)>,
+}
+
+impl CellIndex {
+    fn new(positions: &[(f64, f64)], side: f64, reach: f64) -> Self {
+        // Cell width `side / axis` stays ≥ reach (axis ≤ ⌊side/reach⌋);
+        // the √n clamp only ever *widens* cells, which keeps the 3×3
+        // window a superset of the disk while bounding the cell count.
+        let most = ((positions.len() as f64).sqrt().ceil() as usize).max(1);
+        let axis = ((side / reach).floor() as usize).clamp(1, most);
+        let mut index = Self {
+            side,
+            axis,
+            starts: vec![0; axis * axis + 1],
+            ids: vec![0; positions.len()],
+            points: vec![(0.0, 0.0); positions.len()],
+        };
+        for &p in positions {
+            let k = index.cell_of(p);
+            index.starts[k + 1] += 1;
         }
+        for k in 0..axis * axis {
+            index.starts[k + 1] += index.starts[k];
+        }
+        let mut cursor = index.starts[..axis * axis].to_vec();
+        for (i, &p) in positions.iter().enumerate() {
+            let e = &mut cursor[index.cell_of(p)];
+            index.ids[*e] = i as u32;
+            index.points[*e] = p;
+            *e += 1;
+        }
+        index
     }
-    t
+
+    /// The column (or row) of coordinate `x`.
+    fn axis_cell(&self, x: f64) -> usize {
+        ((x / self.side * self.axis as f64) as usize).min(self.axis - 1)
+    }
+
+    fn cell_of(&self, (x, y): (f64, f64)) -> usize {
+        self.axis_cell(y) * self.axis + self.axis_cell(x)
+    }
+
+    /// The entries of the 3×3 block of cells around `p`'s cell, one range
+    /// per row of the block: the cells of a row are adjacent, so their
+    /// entries are too.
+    fn around(&self, (x, y): (f64, f64)) -> impl Iterator<Item = Range<usize>> + '_ {
+        let (cx, cy) = (self.axis_cell(x), self.axis_cell(y));
+        let (first, last) = (cx.saturating_sub(1), (cx + 1).min(self.axis - 1));
+        (cy.saturating_sub(1)..=(cy + 1).min(self.axis - 1)).map(move |wy| {
+            let row = wy * self.axis;
+            self.starts[row + first]..self.starts[row + last + 1]
+        })
+    }
+
+    /// Appends to `out` each id in `entries` that `wanted` accepts and
+    /// whose position is within `reach` of `p`. Both tests are coin flips
+    /// for the branch predictor, so every entry is written and kept or
+    /// overwritten by the next.
+    fn push_within(
+        &self,
+        entries: Range<usize>,
+        p: (f64, f64),
+        reach: f64,
+        wanted: impl Fn(u32) -> bool,
+        out: &mut Vec<u32>,
+    ) {
+        let mut len = out.len();
+        out.resize(len + entries.len(), 0);
+        for (&j, &q) in self.ids[entries.clone()].iter().zip(&self.points[entries]) {
+            out[len] = j;
+            len += usize::from(wanted(j) & (distance(p, q) <= reach));
+        }
+        out.truncate(len);
+    }
 }
 
 /// A random geometric (unit-disk) graph: `n` nodes uniform in a
 /// `side × side` square, edges between nodes within `radius`.
 ///
-/// Edge construction uses a spatial hash (cells at least `radius` wide,
-/// so all partners of a node live in its 3×3 cell window) instead of the
-/// naive all-pairs scan — `O(n + edges)` expected instead of `O(n²)`,
-/// which is what makes 10⁵–10⁶-node networks constructible. Candidate
-/// partners are visited in ascending id order per node, reproducing the
-/// naive loop's exact `(i asc, j asc, j > i)` insertion sequence, so the
-/// resulting [`Topology`] is byte-identical at the same seed.
+/// Positions are drawn first, node by node. Partners come from a cell
+/// index with cells at least `radius` wide, so only the 3×3 cells
+/// around a node are searched: `O(n + edges)` expected instead of the
+/// `O(n²)` all-pairs scan, which is what makes 10⁵–10⁶-node networks
+/// constructible. Each node `i` links to its partners `j > i` in
+/// ascending order, reproducing the all-pairs loop's `(i asc, j asc)`
+/// insertion sequence, so the [`Topology`] is the same at the same seed:
+/// every node's out- and in-list is its partners, ascending.
 pub fn unit_disk(n: usize, side: f64, radius: f64, seed: SeedTree) -> Topology {
     assert!(side > 0.0 && radius >= 0.0, "invalid geometry");
-    let mut t = Topology::new(n);
     let mut rng = seed.branch("unit-disk").rng();
-    for i in 0..n {
-        let pos = (rng.gen_range(0.0..side), rng.gen_range(0.0..side));
-        t.set_position(NodeId::new(i as u32), pos);
-    }
+    let positions: Vec<(f64, f64)> = (0..n)
+        .map(|_| (rng.gen_range(0.0..side), rng.gen_range(0.0..side)))
+        .collect();
     if n == 0 || radius == 0.0 {
-        return t;
+        return Topology::from_edges(positions, &[]);
     }
-    // Cell width `side / axis` stays ≥ radius (axis ≤ ⌊side/radius⌋); the
-    // √n clamp only ever *widens* cells, which keeps the 3×3 window a
-    // superset of the disk while bounding bucket-array memory.
-    let axis = ((side / radius).floor() as usize).clamp(1, (n as f64).sqrt().ceil() as usize);
-    let cell = |x: f64| ((x / side * axis as f64) as usize).min(axis - 1);
-    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); axis * axis];
-    for i in 0..n {
-        let (x, y) = t.position(NodeId::new(i as u32));
-        buckets[cell(y) * axis + cell(x)].push(i as u32);
-    }
-    let mut candidates: Vec<u32> = Vec::new();
-    for i in 0..n {
-        let u = NodeId::new(i as u32);
-        let (x, y) = t.position(u);
-        let (cx, cy) = (cell(x), cell(y));
-        candidates.clear();
-        for wy in cy.saturating_sub(1)..=(cy + 1).min(axis - 1) {
-            for wx in cx.saturating_sub(1)..=(cx + 1).min(axis - 1) {
-                candidates.extend(
-                    buckets[wy * axis + wx]
-                        .iter()
-                        .copied()
-                        .filter(|&j| j > i as u32),
-                );
-            }
+    let index = CellIndex::new(&positions, side, radius);
+    let mut edges = Vec::new();
+    let mut partners: Vec<u32> = Vec::new();
+    for (i, &p) in positions.iter().enumerate() {
+        partners.clear();
+        for entries in index.around(p) {
+            index.push_within(entries, p, radius, |j| j as usize > i, &mut partners);
         }
-        candidates.sort_unstable();
-        for &j in &candidates {
-            let v = NodeId::new(j);
-            if t.distance(u, v) <= radius {
-                t.add_bidirectional(u, v);
-            }
+        partners.sort_unstable();
+        for &j in &partners {
+            edges.extend(both_ways(i, j as usize));
         }
     }
-    t
+    Topology::from_edges(positions, &edges)
 }
 
 /// An Erdős–Rényi graph `G(n, p)` (each undirected pair connected
@@ -151,21 +221,25 @@ pub fn unit_disk(n: usize, side: f64, radius: f64, seed: SeedTree) -> Topology {
 /// Panics if `p` is outside `[0, 1]`.
 pub fn erdos_renyi(n: usize, p: f64, seed: SeedTree) -> Topology {
     assert!((0.0..=1.0).contains(&p), "probability out of range");
-    let mut t = Topology::new(n);
     let mut rng = seed.branch("erdos-renyi").rng();
+    let mut edges = Vec::new();
     for i in 0..n {
         for j in (i + 1)..n {
             if rng.gen_bool(p) {
-                t.add_bidirectional(NodeId::new(i as u32), NodeId::new(j as u32));
+                edges.extend(both_ways(i, j));
             }
         }
     }
-    t
+    Topology::from_edges(circle_positions(n), &edges)
 }
 
 /// An *asymmetric* random geometric graph: each node draws its own
 /// transmit range uniformly from `[r_min, r_max]`; `v` hears `u` iff
 /// `dist(u, v) ≤ range(u)`. With `r_min < r_max` some links are one-way.
+///
+/// Partners come from a cell index with cells at least `r_max` wide.
+/// Each node's out-list is its partners, ascending, as the all-pairs
+/// `(u asc, v asc)` scan inserts them.
 ///
 /// # Panics
 ///
@@ -173,30 +247,33 @@ pub fn erdos_renyi(n: usize, p: f64, seed: SeedTree) -> Topology {
 pub fn asymmetric_disk(n: usize, side: f64, r_min: f64, r_max: f64, seed: SeedTree) -> Topology {
     assert!(side > 0.0, "invalid geometry");
     assert!(0.0 <= r_min && r_min <= r_max, "invalid range interval");
-    let mut t = Topology::new(n);
     let mut rng = seed.branch("asym-disk").rng();
+    let mut positions = Vec::with_capacity(n);
     let mut ranges = Vec::with_capacity(n);
-    for i in 0..n {
-        let pos = (rng.gen_range(0.0..side), rng.gen_range(0.0..side));
-        t.set_position(NodeId::new(i as u32), pos);
+    for _ in 0..n {
+        positions.push((rng.gen_range(0.0..side), rng.gen_range(0.0..side)));
         ranges.push(if r_min == r_max {
             r_min
         } else {
             rng.gen_range(r_min..=r_max)
         });
     }
-    for (i, &range) in ranges.iter().enumerate() {
-        for j in 0..n {
-            if i == j {
-                continue;
-            }
-            let (u, v) = (NodeId::new(i as u32), NodeId::new(j as u32));
-            if t.distance(u, v) <= range {
-                t.add_edge(u, v);
-            }
+    let index = CellIndex::new(&positions, side, r_max);
+    let mut edges = Vec::new();
+    let mut partners: Vec<u32> = Vec::new();
+    for (i, (&p, &range)) in positions.iter().zip(&ranges).enumerate() {
+        partners.clear();
+        for entries in index.around(p) {
+            index.push_within(entries, p, range, |j| j as usize != i, &mut partners);
         }
+        partners.sort_unstable();
+        edges.extend(
+            partners
+                .iter()
+                .map(|&j| (NodeId::new(i as u32), NodeId::new(j))),
+        );
     }
-    t
+    Topology::from_edges(positions, &edges)
 }
 
 #[cfg(test)]

@@ -33,19 +33,89 @@ pub struct Topology {
     positions: Vec<(f64, f64)>,
 }
 
+/// `n` points evenly spaced on the unit circle, node `i` at angle
+/// `2πi/n`: where [`Topology::new`] places its nodes.
+pub(crate) fn circle_positions(n: usize) -> Vec<(f64, f64)> {
+    (0..n)
+        .map(|i| {
+            let theta = 2.0 * std::f64::consts::PI * i as f64 / n.max(1) as f64;
+            (theta.cos(), theta.sin())
+        })
+        .collect()
+}
+
+/// Euclidean distance between two planar points.
+pub(crate) fn distance(a: (f64, f64), b: (f64, f64)) -> f64 {
+    ((a.0 - b.0).powi(2) + (a.1 - b.1).powi(2)).sqrt()
+}
+
 impl Topology {
     /// Creates an edgeless graph of `n` nodes positioned on a unit circle
     /// (generators overwrite positions as appropriate).
     pub fn new(n: usize) -> Self {
-        let positions = (0..n)
-            .map(|i| {
-                let theta = 2.0 * std::f64::consts::PI * i as f64 / n.max(1) as f64;
-                (theta.cos(), theta.sin())
-            })
-            .collect();
         Self {
             out: vec![Vec::new(); n],
             in_: vec![Vec::new(); n],
+            positions: circle_positions(n),
+        }
+    }
+
+    /// Builds the graph on `positions.len()` nodes whose edges are
+    /// `edges`, equal to the graph that [`add_edge`](Self::add_edge) gives
+    /// when called on each edge in stream order: lists keep insertion
+    /// order, a repeated edge keeps its first place, and self-loops are
+    /// dropped.
+    ///
+    /// One counting pass sizes every out- and in-list, and a second pass
+    /// fills them, so no insert scans a list and a stream that repeats no
+    /// edge allocates each list once, at its final length.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an edge names a node `≥ positions.len()`.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use mmhew_topology::{NodeId, Topology};
+    ///
+    /// let (a, b) = (NodeId::new(0), NodeId::new(1));
+    /// let t = Topology::from_edges(vec![(0.0, 0.0); 2], &[(a, b), (a, a), (a, b)]);
+    /// let mut one_by_one = Topology::new(2);
+    /// one_by_one.add_edge(a, b);
+    /// assert_eq!(t.out_neighbors(a), one_by_one.out_neighbors(a));
+    /// assert_eq!(t.edge_count(), 1);
+    /// ```
+    pub fn from_edges(positions: Vec<(f64, f64)>, edges: &[(NodeId, NodeId)]) -> Self {
+        let n = positions.len();
+        let mut out_len = vec![0usize; n];
+        let mut in_len = vec![0usize; n];
+        for &(u, v) in edges {
+            assert!(u.as_usize() < n, "source out of range");
+            assert!(v.as_usize() < n, "target out of range");
+            if u != v {
+                out_len[u.as_usize()] += 1;
+                in_len[v.as_usize()] += 1;
+            }
+        }
+        let mut out: Vec<Vec<NodeId>> = out_len.into_iter().map(Vec::with_capacity).collect();
+        let mut in_: Vec<Vec<NodeId>> = in_len.into_iter().map(Vec::with_capacity).collect();
+        for &(u, v) in edges {
+            if u != v {
+                out[u.as_usize()].push(v);
+                in_[v.as_usize()].push(u);
+            }
+        }
+        // A stream that repeats no edge repeats no id within an out-list,
+        // and then none within an in-list either.
+        let mut seen = vec![0usize; n];
+        if keep_first_of_each(&mut out, &mut seen) {
+            seen.fill(0);
+            keep_first_of_each(&mut in_, &mut seen);
+        }
+        Self {
+            out,
+            in_,
             positions,
         }
     }
@@ -162,9 +232,7 @@ impl Topology {
 
     /// Euclidean distance between two nodes' positions.
     pub fn distance(&self, u: NodeId, v: NodeId) -> f64 {
-        let (ux, uy) = self.position(u);
-        let (vx, vy) = self.position(v);
-        ((ux - vx).powi(2) + (uy - vy).powi(2)).sqrt()
+        distance(self.position(u), self.position(v))
     }
 
     /// Mean in-degree (equals mean out-degree).
@@ -200,6 +268,22 @@ impl Topology {
         }
         visited == n
     }
+}
+
+/// Drops every later occurrence of an id within each list, keeping the
+/// first, and returns whether any list lost one. `seen` holds one zeroed
+/// stamp per node; a list that shrinks gives back its spare capacity.
+fn keep_first_of_each(lists: &mut [Vec<NodeId>], seen: &mut [usize]) -> bool {
+    let mut any = false;
+    for (i, list) in lists.iter_mut().enumerate() {
+        let len = list.len();
+        list.retain(|&v| std::mem::replace(&mut seen[v.as_usize()], i + 1) != i + 1);
+        if list.len() < len {
+            list.shrink_to_fit();
+            any = true;
+        }
+    }
+    any
 }
 
 #[cfg(test)]

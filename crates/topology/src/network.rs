@@ -47,13 +47,26 @@ pub enum Propagation {
     },
 }
 
-impl Propagation {
-    fn admits(&self, distance: f64, c: ChannelId) -> bool {
-        match self {
-            Propagation::Uniform => true,
-            Propagation::PerChannelRange { ranges } => distance <= ranges[c.index() as usize],
+/// The span of the edge `from → to`: the channels of `A(from) ∩ A(to)`
+/// that `propagation` lets carry it, ascending. Every adjacency row, link
+/// and span is built from this rule.
+fn span_channels<'a>(
+    topology: &Topology,
+    availability: &'a AvailabilityArena,
+    propagation: &'a Propagation,
+    from: NodeId,
+    to: NodeId,
+) -> impl Iterator<Item = ChannelId> + 'a {
+    let reach = match propagation {
+        Propagation::Uniform => None,
+        Propagation::PerChannelRange { ranges } => {
+            Some((ranges.as_slice(), topology.distance(from, to)))
         }
-    }
+    };
+    availability
+        .get(from.as_usize())
+        .iter_common(availability.get(to.as_usize()))
+        .filter(move |c| reach.is_none_or(|(ranges, d)| d <= ranges[c.index() as usize]))
 }
 
 /// Errors constructing a [`Network`].
@@ -139,8 +152,8 @@ impl fmt::Display for Link {
 /// ```
 ///
 /// Row contents preserve the deterministic construction order (topology
-/// neighbor-list order for the receiver-centric direction, ascending
-/// receiver index for the transmitter-centric mirror), so CSR carves are
+/// in-list order for the receiver-centric direction, ascending receiver
+/// index for the transmitter-centric mirror), so CSR carves are
 /// byte-identical to the nested `Vec<Vec<Vec<NodeId>>>` they replaced.
 #[derive(Debug, Clone, PartialEq)]
 struct ChannelCsr {
@@ -152,6 +165,28 @@ struct ChannelCsr {
 }
 
 impl ChannelCsr {
+    /// An empty CSR with room for `cells` cell offsets and `ids` ids, to be
+    /// filled node by node with [`push_node`](Self::push_node).
+    fn with_cells(universe: usize, cells: usize, ids: usize) -> Self {
+        let mut starts = Vec::with_capacity(cells + 1);
+        starts.push(0);
+        ChannelCsr {
+            universe,
+            starts,
+            ids: Vec::with_capacity(ids),
+        }
+    }
+
+    /// Appends the next node's `S` rows from `staging`, one row per
+    /// channel, and empties `staging` for the next node.
+    fn push_node(&mut self, staging: &mut [Vec<NodeId>]) {
+        for row in staging {
+            self.ids.extend_from_slice(row);
+            self.starts.push(self.ids.len() as u32);
+            row.clear();
+        }
+    }
+
     fn node_count(&self) -> usize {
         (self.starts.len() - 1) / self.universe.max(1)
     }
@@ -213,43 +248,25 @@ impl ChannelCsr {
             })
             .collect()
     }
+}
 
-    /// The transmitter-centric mirror by counting sort: visiting rows in
-    /// `(u asc, c asc)` order leaves every mirrored row ascending in `u` —
-    /// the canonical `receivers_on` ordering.
-    fn invert(&self) -> ChannelCsr {
-        let n = self.node_count();
-        let s = self.universe;
-        let mut counts = vec![0u32; n * s];
-        for u in 0..n {
-            for c in 0..s {
-                for &v in self.row(u, c) {
-                    counts[v.as_usize() * s + c] += 1;
-                }
-            }
+/// Stages one node's rows: each of `partners`, in order, joins
+/// `staging[c]` for every channel `c` of its span, and is passed to
+/// `linked` if its span is not empty.
+fn stage_rows<I: Iterator<Item = ChannelId>>(
+    staging: &mut [Vec<NodeId>],
+    partners: &[NodeId],
+    span: impl Fn(NodeId) -> I,
+    mut linked: impl FnMut(NodeId),
+) {
+    for &w in partners {
+        let mut any = false;
+        for c in span(w) {
+            staging[c.index() as usize].push(w);
+            any = true;
         }
-        let mut starts = Vec::with_capacity(n * s + 1);
-        starts.push(0u32);
-        let mut acc = 0u32;
-        for &cnt in &counts {
-            acc += cnt;
-            starts.push(acc);
-        }
-        let mut cursor: Vec<u32> = starts[..n * s].to_vec();
-        let mut ids = vec![NodeId::new(0); acc as usize];
-        for u in 0..n {
-            for c in 0..s {
-                for &v in self.row(u, c) {
-                    let k = v.as_usize() * s + c;
-                    ids[cursor[k] as usize] = NodeId::new(u as u32);
-                    cursor[k] += 1;
-                }
-            }
-        }
-        ChannelCsr {
-            universe: s,
-            starts,
-            ids,
+        if any {
+            linked(w);
         }
     }
 }
@@ -435,45 +452,55 @@ impl Network {
             }
         }
         let arena = AvailabilityArena::from_sets(&availability, universe);
-
-        // Precompute the per-channel in-neighbor CSR and the link
-        // inventory. Per-channel staging keeps the historical row order:
-        // within a row, transmitters appear in topology neighbor-list
-        // order.
+        drop(availability);
         let s = universe as usize;
-        let mut neighbors = ChannelCsr {
-            universe: s,
-            starts: Vec::with_capacity(n * s + 1),
-            ids: Vec::new(),
-        };
-        neighbors.starts.push(0);
+        let span =
+            |from: NodeId, to: NodeId| span_channels(&topology, &arena, &propagation, from, to);
         let mut staging: Vec<Vec<NodeId>> = vec![Vec::new(); s];
-        let mut links = Vec::new();
+
+        // The receiver-centric CSR, node by node: each in-neighbor joins
+        // the rows of its span's channels, in in-list order. The links
+        // into a node are its in-neighbors with a non-empty span.
+        let mut neighbors = ChannelCsr::with_cells(s, n * s, 0);
+        let mut link_count = 0usize;
         for u in topology.nodes() {
-            for &v in topology.in_neighbors(u) {
-                let mut any = false;
-                for c in arena.get(v.as_usize()).iter_common(arena.get(u.as_usize())) {
-                    if propagation.admits(topology.distance(v, u), c) {
-                        staging[c.index() as usize].push(v);
-                        any = true;
-                    }
-                }
-                if any {
-                    links.push(Link { from: v, to: u });
-                }
-            }
-            for cell in &mut staging {
-                neighbors.ids.extend_from_slice(cell);
-                neighbors.starts.push(neighbors.ids.len() as u32);
-                cell.clear();
-            }
+            stage_rows(
+                &mut staging,
+                topology.in_neighbors(u),
+                |v| span(v, u),
+                |_| link_count += 1,
+            );
+            neighbors.push_node(&mut staging);
         }
+        neighbors.ids.shrink_to_fit();
         assert!(
             neighbors.ids.len() < u32::MAX as usize && n * s < u32::MAX as usize,
             "adjacency exceeds u32 CSR offsets or cell indices"
         );
-        links.sort_unstable();
-        let receivers = neighbors.invert();
+
+        // The transmitter-centric mirror and the link inventory, sender by
+        // sender from its out-list: `u ∈ receivers_on(v, c)` iff
+        // `v ∈ neighbors_on(u, c)`. Rows and links come out in out-list
+        // order, and the generators leave nearly every out-list ascending;
+        // the sender's few rows and links are sorted only when it is not.
+        let mut receivers = ChannelCsr::with_cells(s, n * s, neighbors.ids.len());
+        let mut links = Vec::with_capacity(link_count);
+        for v in topology.nodes() {
+            let first = links.len();
+            stage_rows(
+                &mut staging,
+                topology.out_neighbors(v),
+                |u| span(v, u),
+                |u| links.push(Link { from: v, to: u }),
+            );
+            if !topology.out_neighbors(v).is_sorted() {
+                links[first..].sort_unstable();
+                for row in &mut staging {
+                    row.sort_unstable();
+                }
+            }
+            receivers.push_node(&mut staging);
+        }
 
         Ok(Self {
             topology,
@@ -647,17 +674,20 @@ impl Network {
         scratch.stage_widths.clear();
         scratch.widths.resize(s, 0);
         scratch.cursors.resize(s, 0);
+        let span = |from: NodeId, to: NodeId| {
+            span_channels(
+                &self.topology,
+                &self.availability,
+                &self.propagation,
+                from,
+                to,
+            )
+        };
         for &u in &scratch.touched {
             scratch.widths.fill(0);
             for &v in self.topology.in_neighbors(u) {
-                for c in self
-                    .availability
-                    .get(v.as_usize())
-                    .iter_common(self.availability.get(u.as_usize()))
-                {
-                    if self.propagation.admits(self.topology.distance(v, u), c) {
-                        scratch.widths[c.index() as usize] += 1;
-                    }
+                for c in span(v, u) {
+                    scratch.widths[c.index() as usize] += 1;
                 }
             }
             let base = scratch.stage_ids.len() as u32;
@@ -668,16 +698,10 @@ impl Network {
             }
             scratch.stage_ids.resize(acc as usize, NodeId::new(0));
             for &v in self.topology.in_neighbors(u) {
-                for c in self
-                    .availability
-                    .get(v.as_usize())
-                    .iter_common(self.availability.get(u.as_usize()))
-                {
-                    if self.propagation.admits(self.topology.distance(v, u), c) {
-                        let cur = &mut scratch.cursors[c.index() as usize];
-                        scratch.stage_ids[*cur as usize] = v;
-                        *cur += 1;
-                    }
+                for c in span(v, u) {
+                    let cur = &mut scratch.cursors[c.index() as usize];
+                    scratch.stage_ids[*cur as usize] = v;
+                    *cur += 1;
                 }
             }
             scratch.stage_widths.extend_from_slice(&scratch.widths);
@@ -852,12 +876,25 @@ impl Network {
     }
 
     /// The span of the directed link `from → to`: channels on which `to`
-    /// can hear `from`.
+    /// can hear `from`. Empty unless `from → to` is one of
+    /// [`links`](Self::links) (a binary search); otherwise the channels of
+    /// `A(from) ∩ A(to)` the propagation model admits.
     pub fn span(&self, from: NodeId, to: NodeId) -> ChannelSet {
-        (0..self.universe)
-            .map(ChannelId::new)
-            .filter(|&c| self.neighbors_on(to, c).contains(&from))
-            .collect()
+        if self.links.binary_search(&Link { from, to }).is_err() {
+            return ChannelSet::new();
+        }
+        self.span_of(from, to).collect()
+    }
+
+    /// The channels carrying the edge `from → to`, ascending.
+    fn span_of(&self, from: NodeId, to: NodeId) -> impl Iterator<Item = ChannelId> + '_ {
+        span_channels(
+            &self.topology,
+            &self.availability,
+            &self.propagation,
+            from,
+            to,
+        )
     }
 
     /// All discovery obligations: directed links with non-empty span,
@@ -887,11 +924,13 @@ impl Network {
     /// `ρ`: minimum span-ratio over all links — `|span(v,u)| / |A(u)|`,
     /// minimized over directed links `(v, u)`. Returns 1.0 for a network
     /// with no links (vacuous minimum, and the best case for the bounds).
+    /// Costs one availability intersection per link, not a scan of its
+    /// receiver's rows.
     pub fn rho(&self) -> f64 {
         self.links
             .iter()
             .map(|l| {
-                let span = self.span(l.from, l.to).len() as f64;
+                let span = self.span_of(l.from, l.to).count() as f64;
                 let a = self.available(l.to).len() as f64;
                 span / a
             })
